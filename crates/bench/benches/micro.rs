@@ -301,6 +301,27 @@ fn bench_full_system() {
         },
     )
     .report();
+    // Checkpoint-style prewarm of the paper machine on WL3 under all nine
+    // schemes (the benchmark grid's set-up): the nine systems are built
+    // outside the timed region, which covers only their `prewarm` calls.
+    bench_with_setup(
+        "system/16core_prewarm_wl3",
+        || {
+            let cfg = SystemConfig::default();
+            let wl = workload_mix(3, cfg.n_cores);
+            Scheme::ALL.map(|scheme| {
+                let preds = scheme.build_predictors(&cfg, CptConfig::default());
+                System::new(cfg, scheme.build_policy(&cfg), wl.build_sources(), preds)
+            })
+        },
+        |mut systems| {
+            for sys in &mut systems {
+                black_box(sys.prewarm());
+            }
+            systems
+        },
+    )
+    .report();
 }
 
 fn main() {

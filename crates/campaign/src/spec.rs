@@ -350,16 +350,13 @@ fn parse_schemes(rest: &[&str]) -> Result<Vec<Scheme>, String> {
     Ok(out)
 }
 
-/// Inverse of [`Scheme::name`].
+/// Inverse of [`Scheme::name`] ([`Scheme::from_name`]: case and hyphens
+/// are ignored).
 pub fn scheme_by_name(name: &str) -> Result<Scheme, String> {
-    Scheme::ALL
-        .iter()
-        .copied()
-        .find(|s| s.name() == name)
-        .ok_or_else(|| {
-            let known: Vec<&str> = Scheme::ALL.iter().map(|s| s.name()).collect();
-            format!("unknown scheme {name:?} (known: {known:?})")
-        })
+    Scheme::from_name(name).ok_or_else(|| {
+        let known: Vec<&str> = Scheme::ALL.iter().map(|s| s.name()).collect();
+        format!("unknown scheme {name:?} (known: {known:?})")
+    })
 }
 
 fn parse_workloads(rest: &[&str]) -> Result<Vec<usize>, String> {
@@ -548,6 +545,7 @@ retries 1
         for s in Scheme::ALL {
             assert_eq!(scheme_by_name(s.name()).unwrap(), s);
         }
-        assert!(scheme_by_name("s-nuca").is_err());
+        assert_eq!(scheme_by_name("s-nuca").unwrap(), Scheme::SNuca);
+        assert!(scheme_by_name("Bogus").is_err());
     }
 }

@@ -376,6 +376,13 @@ impl SetAssocCache {
 
     /// Mark a present line dirty (writeback arriving from an upper level).
     /// Returns false if the line is absent.
+    ///
+    /// The stamp is the *current* clock, not a fresh tick, so it can equal
+    /// the stamp of the set's last access; the victim scan then breaks the
+    /// tie by way index (lowest way goes first). Way positions are
+    /// therefore observable, which is why the batched prewarm install
+    /// (`install_fill_stream`) must reproduce the exact way of every line,
+    /// not just each set's contents and recency order.
     pub fn mark_dirty(&mut self, line: u64) -> bool {
         let set = self.set_of(line);
         if let Some(w) = self.find(set, line) {
@@ -385,6 +392,77 @@ impl SetAssocCache {
             return true;
         }
         false
+    }
+
+    /// Whether the array has never been filled (or accessed): every way is
+    /// invalid and the clock is at zero.
+    pub(crate) fn is_pristine(&self) -> bool {
+        self.clock == 0
+    }
+
+    /// Install a fill-only stream of distinct lines into a pristine array,
+    /// leaving tags, flags, stamps, clock and fill count exactly as
+    /// [`fill`](Self::fill) of each line in turn would — but writing only
+    /// the lines that survive. Returns the survivors' positions in
+    /// `lines`, ascending.
+    ///
+    /// In a fill-only stream every victim is its set's oldest line, so the
+    /// survivors of a set are its last `assoc` fills, and the `k`-th fill
+    /// of a set (from 0) sits at way `k % assoc` with stamp = its position
+    /// in the stream + 1. One forward pass counts each set's fills; a
+    /// backward pass then places survivors and stops once every set has
+    /// its last `assoc` (or all of its) fills placed.
+    ///
+    /// # Panics
+    /// Panics unless the array [`is_pristine`](Self::is_pristine).
+    pub(crate) fn install_fill_stream(&mut self, lines: &[u64]) -> Vec<usize> {
+        assert!(
+            self.is_pristine(),
+            "fill-stream install needs a pristine array"
+        );
+        let mut total = vec![0u32; self.sets];
+        for &line in lines {
+            total[self.set_of(line)] += 1;
+        }
+        let assoc = self.assoc as u32;
+        let mut left: usize = total.iter().map(|&t| t.min(assoc) as usize).sum();
+        let mut kept = Vec::with_capacity(left);
+        let mut placed = vec![0u32; self.sets];
+        for (pos, &line) in lines.iter().enumerate().rev() {
+            if left == 0 {
+                break;
+            }
+            let set = self.set_of(line);
+            let later = placed[set];
+            if later == assoc {
+                continue;
+            }
+            placed[set] = later + 1;
+            left -= 1;
+            let k = total[set] - 1 - later;
+            let slot = set * self.assoc + (k % assoc) as usize;
+            self.tags[slot] = line;
+            self.flags[slot] = F_VALID;
+            self.stamps[slot] = pos as u64 + 1;
+            kept.push(pos);
+        }
+        kept.reverse();
+        self.clock = lines.len() as u64;
+        self.stats.fills.add(lines.len() as u64);
+        kept
+    }
+
+    /// `(tag, valid, dirty, stamp)` of one way (state comparison in tests
+    /// and differential checks; the tag is meaningless when invalid).
+    pub fn way_state(&self, set: usize, way: usize) -> (u64, bool, bool, u64) {
+        let slot = set * self.assoc + way;
+        let f = self.flags[slot];
+        (
+            self.tags[slot],
+            f & F_VALID != 0,
+            f & F_DIRTY != 0,
+            self.stamps[slot],
+        )
     }
 
     /// Number of valid lines currently resident (O(capacity); test helper).
@@ -559,6 +637,60 @@ mod tests {
         c.fill(4, true); // dirty, more recently used
         let out = c.fill(8, false);
         assert_eq!(out.evicted.map(|e| e.line), Some(4), "evicts dirty first");
+    }
+
+    #[test]
+    fn mark_dirty_stamp_tie_evicts_lowest_way() {
+        // Lines 0 and 4 share set 0 of the 4-set, 2-way array.
+        let mut c = tiny();
+        c.fill(0, false); // way 0, stamp 1
+        c.fill(4, false); // way 1, stamp 2
+
+        // The writeback reuses the current clock: line 0's stamp becomes
+        // 2, equal to line 4's. The victim scan keeps the first (lowest)
+        // way on a tie, so line 0 goes even though it was touched last.
+        assert!(c.mark_dirty(0));
+        assert_eq!(c.way_state(0, 0), (0, true, true, 2));
+        assert_eq!(c.way_state(0, 1), (4, true, false, 2));
+        let out = c.fill(8, false);
+        assert_eq!(out.way, 0);
+        assert_eq!(
+            out.evicted,
+            Some(Eviction {
+                line: 0,
+                dirty: true
+            })
+        );
+    }
+
+    #[test]
+    fn fill_stream_install_matches_line_by_line_fills() {
+        // 4 sets x 2 ways; 23 distinct lines with uneven per-set counts,
+        // hashed and unhashed.
+        for hash in [false, true] {
+            let geo = CacheGeometry::symmetric(512, 2, 1);
+            let lines: Vec<u64> = (0..23u64).map(|i| i * 5 % 31 + 64 * (i % 3)).collect();
+            let mut reference = SetAssocCache::new(geo, hash);
+            for &l in &lines {
+                reference.fill(l, false);
+            }
+            let mut batched = SetAssocCache::new(geo, hash);
+            assert!(batched.is_pristine());
+            let kept = batched.install_fill_stream(&lines);
+            for s in 0..4 {
+                for w in 0..2 {
+                    assert_eq!(batched.way_state(s, w), reference.way_state(s, w));
+                }
+            }
+            assert_eq!(batched.stats.fills.get(), reference.stats.fills.get());
+            // Survivors are reported in stream order.
+            let expect: Vec<usize> = (0..lines.len())
+                .filter(|&i| reference.contains(lines[i]))
+                .collect();
+            assert_eq!(kept, expect);
+            // Same clock: the next fill lands identically in both.
+            assert_eq!(batched.fill(99, false), reference.fill(99, false));
+        }
     }
 
     #[test]

@@ -138,6 +138,12 @@ impl Directory {
         self.entries.is_empty()
     }
 
+    /// Every tracked `(line, entry)`, in table-slot order (state
+    /// comparison; slot order is not insertion order).
+    pub fn entries(&self) -> impl Iterator<Item = (u64, &DirEntry)> {
+        self.entries.iter()
+    }
+
     /// Current sharers of a line.
     pub fn entry(&self, line: u64) -> Option<&DirEntry> {
         self.entries.get(line)

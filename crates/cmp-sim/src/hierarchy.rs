@@ -197,6 +197,30 @@ struct CompressState {
     stats: Vec<BankCompressStats>,
 }
 
+/// How [`crate::system::System::prewarm`] installed one core's warm lines
+/// (DESIGN.md, "Prewarm").
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PrewarmPath {
+    /// Two-phase: the L3 side of every line, then only the lines that
+    /// survive into L2, L1 and the directory, written at their final ways.
+    Survivors,
+    /// Two-phase: the L3 side of every line, then the private side line by
+    /// line, with the core's own L3 back-invalidations at their recorded
+    /// steps (the L3 side evicted one of the core's own lines).
+    Replay,
+    /// The reference: [`MemoryHierarchy::prewarm_fill`] line by line.
+    PerLine,
+}
+
+/// L3 victims owned by the core whose L3 side a two-phase prewarm is
+/// running, each with the step (line index) whose fill evicted it.
+struct OwnVictimLog {
+    core: CoreId,
+    step: usize,
+    /// `(step, victim line, bank)` in eviction order.
+    victims: Vec<(usize, u64, BankId)>,
+}
+
 /// One stride-detector entry of a per-core prefetcher.
 #[derive(Clone, Copy, Debug, Default)]
 struct StreamEntry {
@@ -254,6 +278,9 @@ pub struct MemoryHierarchy {
     data_flits: u32,
     /// Mesh tile of each memory controller, indexed by DRAM channel.
     mc_tiles: Vec<usize>,
+    /// Set only while `prewarm_core` runs its L3
+    /// pass, which also skips the bank calendars and wear counters.
+    own_victims: Option<OwnVictimLog>,
 }
 
 impl MemoryHierarchy {
@@ -327,6 +354,7 @@ impl MemoryHierarchy {
             ctrl_flits: cfg.noc.ctrl_flits,
             data_flits: cfg.noc.data_flits,
             mc_tiles,
+            own_victims: None,
         }
     }
 
@@ -413,9 +441,16 @@ impl MemoryHierarchy {
     /// re-program through the bank model ([`LlcBanks::expand`]). The
     /// expansion itself charges *no* extra wear: the triggering write's
     /// mask already aged every cell this write touches.
+    ///
+    /// The L3 pass of a two-phase prewarm updates only the slot's
+    /// compression state: the wear counters and compression stats it
+    /// would charge are wiped by `reset_stats` before any run.
     fn charge_l3_write(&mut self, bank: BankId, slot: usize, line: u64, is_fill: bool) -> bool {
+        let counted = self.own_victims.is_none();
         let Some(cs) = self.compress.as_mut() else {
-            self.wear.record_write(bank, slot);
+            if counted {
+                self.wear.record_write(bank, slot);
+            }
             return false;
         };
         if is_fill {
@@ -425,9 +460,11 @@ impl MemoryHierarchy {
         }
         let v = cs.version[bank][slot];
         let c = cs.spec.class_of(line, v);
-        self.wear
-            .record_subblock_write(bank, slot, cs.spec.mask_of(line, v));
-        cs.stats[bank].class_writes[c.trailing_zeros() as usize] += 1;
+        if counted {
+            self.wear
+                .record_subblock_write(bank, slot, cs.spec.mask_of(line, v));
+            cs.stats[bank].class_writes[c.trailing_zeros() as usize] += 1;
+        }
         cs.version[bank][slot] = v + 1;
         if is_fill {
             cs.class[bank][slot] = c;
@@ -609,12 +646,25 @@ impl MemoryHierarchy {
     /// State-only install of a line for checkpoint-style prewarming: fills
     /// L3 (placement policy, wear, inclusion) and the core's L2/L1 without
     /// any timing-model work. Statistics accumulated here are wiped by the
-    /// warm-up reset.
+    /// warm-up reset. This is the per-line reference that the two-phase
+    /// `prewarm_core` must reproduce exactly.
     pub fn prewarm_fill(&mut self, core: CoreId, phys: u64) {
-        let line = crate::types::line_of(phys);
+        self.prewarm_line(core, crate::types::line_of(phys));
+    }
+
+    /// [`prewarm_fill`](Self::prewarm_fill) of a line address.
+    pub(crate) fn prewarm_line(&mut self, core: CoreId, line: u64) {
         if self.l1[core].contains(line) {
             return;
         }
+        self.prewarm_l3_side(core, line);
+        self.prewarm_private_side(core, line);
+    }
+
+    /// The L3 half of [`prewarm_fill`](Self::prewarm_fill): placement
+    /// lookup, bank probe and, on a miss, the fill with its victims and
+    /// policy hooks. Reads no L1/L2 state.
+    fn prewarm_l3_side(&mut self, core: CoreId, line: u64) {
         let meta = AccessMeta {
             core,
             line,
@@ -629,8 +679,78 @@ impl MemoryHierarchy {
             let fill_bank = self.policy.fill_bank(&meta);
             self.fill_l3(&meta, fill_bank, 0);
         }
+    }
+
+    /// The private half of [`prewarm_fill`](Self::prewarm_fill): the
+    /// directory grant and the L2/L1 fills.
+    fn prewarm_private_side(&mut self, core: CoreId, line: u64) {
         self.dir.read(line, core);
         self.fill_l2_l1(core, line, false, 0);
+    }
+
+    /// Prewarm one core's `lines` (physical line addresses) in two phases,
+    /// leaving exactly the state [`prewarm_fill`](Self::prewarm_fill) of
+    /// each line in turn would (DESIGN.md, "Prewarm").
+    ///
+    /// Phase 1 runs the L3 side of every line in order. Phase 2 writes the
+    /// private side: when the L3 side evicted none of the core's own lines
+    /// and an L1 set is a function of the L2 set, only the lines that
+    /// survive into L2, L1 and the directory are written, each at the way
+    /// a line-by-line fill would give it ([`PrewarmPath::Survivors`]);
+    /// otherwise the private side is replayed line by line with the own
+    /// back-invalidations at their recorded steps ([`PrewarmPath::Replay`]).
+    ///
+    /// The caller guarantees `lines` are distinct lines of `core`'s
+    /// address space. When the core's L1 or L2 has already been used, this
+    /// falls back to the per-line reference ([`PrewarmPath::PerLine`]).
+    pub(crate) fn prewarm_core(&mut self, core: CoreId, lines: &[u64]) -> PrewarmPath {
+        if !(self.l1[core].is_pristine() && self.l2[core].is_pristine()) {
+            for &line in lines {
+                self.prewarm_line(core, line);
+            }
+            return PrewarmPath::PerLine;
+        }
+        // Phase 1. The core's lines are not in the directory yet, so its
+        // own L3 victims back-invalidate nothing here; they are logged and
+        // applied to its private side in phase 2.
+        self.own_victims = Some(OwnVictimLog {
+            core,
+            step: 0,
+            victims: Vec::new(),
+        });
+        for (step, &line) in lines.iter().enumerate() {
+            if let Some(log) = self.own_victims.as_mut() {
+                log.step = step;
+            }
+            self.prewarm_l3_side(core, line);
+        }
+        let victims = self
+            .own_victims
+            .take()
+            .map(|l| l.victims)
+            .unwrap_or_default();
+        // Phase 2. With no own victims the private side is a fill-only
+        // stream. An L2 victim's L1 copy is then already gone or is the
+        // oldest line of its L1 set, so L1 is a fill-only stream too —
+        // provided every L2 set maps into a single L1 set with no more
+        // ways than it has.
+        let (l1, l2) = (&self.l1[core], &self.l2[core]);
+        if victims.is_empty() && l1.sets() <= l2.sets() && l1.assoc() <= l2.assoc() {
+            for pos in self.l2[core].install_fill_stream(lines) {
+                self.dir.read(lines[pos], core);
+            }
+            self.l1[core].install_fill_stream(lines);
+            return PrewarmPath::Survivors;
+        }
+        let mut pending = victims.into_iter().peekable();
+        for (step, &line) in lines.iter().enumerate() {
+            while let Some((_, victim, bank)) = pending.next_if(|v| v.0 == step) {
+                let dirty = self.back_invalidate_holders(victim, bank, 0);
+                debug_assert!(!dirty, "prewarmed line {victim:#x} cannot be dirty");
+            }
+            self.prewarm_private_side(core, line);
+        }
+        PrewarmPath::Replay
     }
 
     /// Temporarily enable/disable the stride prefetchers (used by
@@ -801,8 +921,11 @@ impl MemoryHierarchy {
         self.note_bank_write(bank, now);
         // The fill programs the ReRAM array: the requester's data forwards
         // at `now` (write-buffer semantics) but the bank stays busy for the
-        // slow write, delaying later operations.
-        self.banks.fill(bank, now);
+        // slow write, delaying later operations. The L3 pass of a
+        // two-phase prewarm skips the calendar: `reset_stats` clears it.
+        if self.own_victims.is_none() {
+            self.banks.fill(bank, now);
+        }
         let out = self.l3[bank].fill(meta.line, false);
         let slot = self.l3[bank].slot_index(out.set, out.way);
         self.charge_l3_write(bank, slot, meta.line, true);
@@ -832,7 +955,29 @@ impl MemoryHierarchy {
     /// Handle an L3 capacity victim: back-invalidate private copies,
     /// write dirty data to DRAM, notify the policy.
     fn evict_l3_victim(&mut self, victim: u64, l3_dirty: bool, bank: BankId, now: Cycle) {
-        let mut dirty = l3_dirty;
+        if let Some(log) = self.own_victims.as_mut() {
+            if crate::types::owner_of_line(victim) == log.core {
+                log.victims.push((log.step, victim, bank));
+            }
+        }
+        let dirty = self.back_invalidate_holders(victim, bank, now) || l3_dirty;
+        if dirty {
+            let mc = self.mc_tiles[self.dram.coord_of(victim).channel];
+            let t_mc = self.mesh.traverse(bank, mc, self.data_flits, now);
+            self.dram.access(victim, true, t_mc);
+            self.stats.l3_writebacks_to_dram.inc();
+        }
+        if let Some(map) = self.block_criticality.as_mut() {
+            map.remove(victim);
+        }
+        self.policy.on_evict(victim, bank);
+    }
+
+    /// Inclusive-L3 back-invalidation of `victim` (evicted from `bank`):
+    /// drop every private copy the directory lists. Returns whether any of
+    /// them was dirty.
+    fn back_invalidate_holders(&mut self, victim: u64, bank: BankId, now: Cycle) -> bool {
+        let mut dirty = false;
         for holder in self.dir.back_invalidate(victim) {
             let d1 = self.l1[holder].invalidate(victim).unwrap_or(false);
             let d2 = self.l2[holder].invalidate(victim).unwrap_or(false);
@@ -846,16 +991,7 @@ impl MemoryHierarchy {
             // Invalidation control message to the holder tile.
             self.mesh.traverse(bank, holder, self.ctrl_flits, now);
         }
-        if dirty {
-            let mc = self.mc_tiles[self.dram.coord_of(victim).channel];
-            let t_mc = self.mesh.traverse(bank, mc, self.data_flits, now);
-            self.dram.access(victim, true, t_mc);
-            self.stats.l3_writebacks_to_dram.inc();
-        }
-        if let Some(map) = self.block_criticality.as_mut() {
-            map.remove(victim);
-        }
-        self.policy.on_evict(victim, bank);
+        dirty
     }
 
     /// Install a line into a core's L2 and L1 after the data returned,
@@ -994,6 +1130,21 @@ impl MemoryHierarchy {
             .for_each(|s| *s = PerCoreMemStats::default());
         self.stats = HierarchyStats::default();
         self.trace.clear();
+    }
+
+    /// One core's L1D array (state inspection in tests and checks).
+    pub fn l1(&self, core: CoreId) -> &SetAssocCache {
+        &self.l1[core]
+    }
+
+    /// One core's private L2 array (state inspection in tests and checks).
+    pub fn l2(&self, core: CoreId) -> &SetAssocCache {
+        &self.l2[core]
+    }
+
+    /// One L3 bank's array (state inspection in tests and checks).
+    pub fn l3(&self, bank: BankId) -> &SetAssocCache {
+        &self.l3[bank]
     }
 
     /// Statistics of one core's L1D.

@@ -83,6 +83,12 @@ pub trait InstrSource {
     /// faulting in. `System::prewarm` installs these ranges functionally —
     /// the checkpoint-restore equivalent — before the timed warm-up, and
     /// all statistics (including wear) are reset afterwards.
+    ///
+    /// `prewarm` calls this once per core, on a fresh system, and installs
+    /// the ranges in the order returned. Ranges that cover distinct lines
+    /// (no overlap, none wrapping around the core's 256 MB physical slice)
+    /// take the fast two-phase install; overlapping ranges are legal but
+    /// take the per-line path. Both leave the same state.
     fn warm_ranges(&self) -> Vec<(u64, u64)> {
         Vec::new()
     }

@@ -3,10 +3,14 @@
 
 use crate::config::SystemConfig;
 use crate::cpu::{CoreModel, CoreStats};
-use crate::hierarchy::{BankCompressStats, HierarchyStats, MemoryHierarchy, PerCoreMemStats};
+use crate::hierarchy::{
+    BankCompressStats, HierarchyStats, MemoryHierarchy, PerCoreMemStats, PrewarmPath,
+};
 use crate::instr::InstrSource;
 use crate::placement::{CriticalityPredictor, LlcPlacement, NeverCritical, PredictorStats};
-use crate::types::{CoreId, Cycle};
+use crate::types::{
+    line_of, phys_addr, CoreId, Cycle, CORE_ADDR_STRIDE_BITS, LINE_BYTES, LINE_SHIFT,
+};
 use wear_model::WearTracker;
 
 /// Per-core results of a measured run.
@@ -185,6 +189,9 @@ pub struct System {
     pub mem: MemoryHierarchy,
     now: Cycle,
     measure_start: Cycle,
+    /// Whether `prewarm` or `run` has been called: only the first prewarm
+    /// of a fresh system may take the two-phase path.
+    started: bool,
 }
 
 impl System {
@@ -215,6 +222,7 @@ impl System {
             cfg,
             now: 0,
             measure_start: 0,
+            started: false,
         }
     }
 
@@ -251,6 +259,7 @@ impl System {
     /// in release builds too), or if the system livelocks, after a
     /// generous cycle bound of `10_000 × instr_per_core + 1_000_000`.
     pub fn run(&mut self, instr_per_core: u64) {
+        self.started = true;
         let bound = self
             .now
             .saturating_add(10_000u64.saturating_mul(instr_per_core) + 1_000_000);
@@ -317,25 +326,52 @@ impl System {
 
     /// Functionally install each source's `warm_ranges` into the hierarchy
     /// (checkpoint-style cache warming; see
-    /// [`InstrSource::warm_ranges`]).
-    /// Call before `warmup`/`run` — statistics accumulated here are wiped
-    /// by the warm-up reset.
-    pub fn prewarm(&mut self) {
-        use crate::types::{line_of, phys_addr, LINE_BYTES};
+    /// [`InstrSource::warm_ranges`]), core by core, each core's ranges in
+    /// order. Returns the path each core took.
+    ///
+    /// Call once, on a fresh system, before `warmup`/`run` — statistics
+    /// accumulated here are wiped by the warm-up reset. That first call
+    /// installs a core whose warm ranges cover distinct lines in two
+    /// phases ([`PrewarmPath::Survivors`] or [`PrewarmPath::Replay`];
+    /// DESIGN.md, "Prewarm"). A core
+    /// whose ranges overlap, and every core of a later call or of a call
+    /// after `warmup`/`run`, takes the per-line reference
+    /// ([`PrewarmPath::PerLine`], [`System::prewarm_reference`]). All
+    /// paths leave the same simulated state.
+    pub fn prewarm(&mut self) -> Vec<PrewarmPath> {
+        let batched = !self.started;
+        self.prewarm_with(batched)
+    }
+
+    /// [`System::prewarm`] through the per-line reference
+    /// [`MemoryHierarchy::prewarm_fill`] for every core (equivalence tests
+    /// and A/B timing).
+    pub fn prewarm_reference(&mut self) {
+        self.prewarm_with(false);
+    }
+
+    fn prewarm_with(&mut self, batched: bool) -> Vec<PrewarmPath> {
+        self.started = true;
         let pf = self.mem.prefetcher_enabled();
         self.mem.set_prefetcher_enabled(false);
+        let mut paths = Vec::with_capacity(self.cores.len());
+        let mut lines = Vec::new();
         for core in 0..self.cores.len() {
-            for (start, bytes) in self.sources[core].warm_ranges() {
-                let first = line_of(start);
-                let last = line_of(start + bytes.saturating_sub(1));
-                for line in first..=last {
-                    let phys = phys_addr(core, line * LINE_BYTES);
-                    self.mem.prewarm_fill(core, phys);
+            let ranges = self.sources[core].warm_ranges();
+            lines.clear();
+            lines.extend(warm_lines(core, &ranges));
+            paths.push(if batched && lines_distinct(&ranges) {
+                self.mem.prewarm_core(core, &lines)
+            } else {
+                for &line in &lines {
+                    self.mem.prewarm_line(core, line);
                 }
-            }
+                PrewarmPath::PerLine
+            });
         }
         self.mem.set_prefetcher_enabled(pf);
         self.mem.reset_stats();
+        paths
     }
 
     /// Extract the results of the measurement window (call after `run`).
@@ -411,6 +447,37 @@ impl System {
     pub fn core_stats(&self, core: CoreId) -> CoreStats {
         self.cores[core].stats
     }
+}
+
+/// First and last virtual line of a warm range `(start, bytes)`.
+fn line_span(&(start, bytes): &(u64, u64)) -> (u64, u64) {
+    (line_of(start), line_of(start + bytes.saturating_sub(1)))
+}
+
+/// The physical lines `core`'s warm `ranges` cover, in install order.
+fn warm_lines(core: CoreId, ranges: &[(u64, u64)]) -> impl Iterator<Item = u64> + '_ {
+    ranges.iter().flat_map(move |range| {
+        let (first, last) = line_span(range);
+        (first..=last).map(move |line| line_of(phys_addr(core, line * LINE_BYTES)))
+    })
+}
+
+/// Whether [`warm_lines`] of `ranges` yields every line at most once: no
+/// range wraps around a per-core address slice (physical addresses keep
+/// only the low [`CORE_ADDR_STRIDE_BITS`] of a virtual address), and no
+/// two ranges share a line. O(r log r) in the number of ranges.
+fn lines_distinct(ranges: &[(u64, u64)]) -> bool {
+    let slice_lines = 1u64 << (CORE_ADDR_STRIDE_BITS - LINE_SHIFT);
+    let mut spans = Vec::with_capacity(ranges.len());
+    for range in ranges {
+        let (first, last) = line_span(range);
+        if first / slice_lines != last / slice_lines {
+            return false;
+        }
+        spans.push((first % slice_lines, last % slice_lines));
+    }
+    spans.sort_unstable();
+    spans.windows(2).all(|w| w[0].1 < w[1].0)
 }
 
 #[cfg(test)]
@@ -552,6 +619,16 @@ mod tests {
         let mut sys = build(1, vec![alu_heavy_source()]);
         sys.run(1_000);
         assert_eq!(sys.result().per_core[0].committed, 1_000);
+    }
+
+    #[test]
+    fn lines_distinct_rejects_overlap_and_slice_aliasing() {
+        let slice = 1u64 << CORE_ADDR_STRIDE_BITS;
+        assert!(lines_distinct(&[]));
+        assert!(lines_distinct(&[(4096, 64), (0, 4096)]), "adjacent");
+        assert!(!lines_distinct(&[(0, 4096), (4032, 128)]), "shared line");
+        assert!(!lines_distinct(&[(0, 4096), (slice, 64)]), "aliases line 0");
+        assert!(!lines_distinct(&[(slice - 64, 128)]), "wraps the slice");
     }
 
     #[test]

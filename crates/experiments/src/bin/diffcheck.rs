@@ -63,9 +63,7 @@ fn replay_file(path: &Path, mutant: bool) -> Result<(), String> {
         std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
     let (scheme_name, cols, rows, seed, ops) = parse_trace(&text)
         .ok_or_else(|| format!("{} is not a renuca-trace-v1 file", path.display()))?;
-    let scheme = Scheme::ALL
-        .into_iter()
-        .find(|s| s.name() == scheme_name)
+    let scheme = Scheme::from_name(&scheme_name)
         .ok_or_else(|| format!("unknown scheme {scheme_name:?} in trace header"))?;
     let cfg = diff::tiny_cfg(cols, rows);
     println!(

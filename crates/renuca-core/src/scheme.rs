@@ -89,6 +89,19 @@ impl Scheme {
         }
     }
 
+    /// Inverse of [`Scheme::name`], ignoring case and hyphens: "Re-NUCA",
+    /// "re-nuca" and "renuca" all name [`Scheme::ReNuca`].
+    pub fn from_name(name: &str) -> Option<Scheme> {
+        let key = |s: &str| -> String {
+            s.chars()
+                .filter(|&c| c != '-')
+                .flat_map(char::to_lowercase)
+                .collect()
+        };
+        let want = key(name);
+        Scheme::ALL.into_iter().find(|s| key(s.name()) == want)
+    }
+
     /// Build the placement policy for this scheme under `cfg`.
     pub fn build_policy(self, cfg: &SystemConfig) -> Box<dyn LlcPlacement> {
         match self {
@@ -161,6 +174,19 @@ mod tests {
         assert_eq!(Scheme::SNuca.name(), "S-NUCA");
         assert_eq!(Scheme::ReNuca.name(), "Re-NUCA");
         assert_eq!(format!("{}", Scheme::Naive), "Naive");
+    }
+
+    #[test]
+    fn from_name_inverts_name_in_any_case() {
+        for s in Scheme::ALL {
+            assert_eq!(Scheme::from_name(s.name()), Some(s));
+            assert_eq!(Scheme::from_name(&s.name().to_lowercase()), Some(s));
+            assert_eq!(Scheme::from_name(&s.name().to_uppercase()), Some(s));
+        }
+        assert_eq!(Scheme::from_name("snuca"), Some(Scheme::SNuca));
+        assert_eq!(Scheme::from_name("renucac2"), Some(Scheme::ReNucaC2));
+        assert_eq!(Scheme::from_name("nuca"), None);
+        assert_eq!(Scheme::from_name(""), None);
     }
 
     #[test]

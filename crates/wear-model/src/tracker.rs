@@ -310,7 +310,14 @@ impl WearTracker {
     }
 
     /// Reset all counters (between warm-up and measurement).
+    ///
+    /// Every record bumps its bank's total, so all-zero totals mean every
+    /// counter is already zero; the sweep is then skipped, which leaves a
+    /// fresh tracker's untouched (lazily zeroed) pages unmapped.
     pub fn reset(&mut self) {
+        if self.bank_totals.iter().all(|&t| t == 0) {
+            return;
+        }
         self.writes.iter_mut().for_each(|w| *w = 0);
         self.bank_totals.iter_mut().for_each(|w| *w = 0);
         self.subblock_writes.iter_mut().for_each(|w| *w = 0);

@@ -4,7 +4,7 @@
 //! renuca run   [--scheme S] [--workload N] [--warmup I] [--measure I]
 //!              [--l2-128k] [--l3-1m] [--rob-168] [--no-prefetch]
 //! renuca apps                       # Table II style characterization
-//! renuca schemes [--workload N] ... # compare all five schemes on one mix
+//! renuca schemes [--workload N] ... # compare all nine schemes on one mix
 //! ```
 //!
 //! A thin, dependency-free argument parser: this binary exists so users can
@@ -12,10 +12,16 @@
 
 use renuca::prelude::*;
 use renuca::wear::lifetime_variation;
+use renuca::workloads::is_workload_id;
 
 fn usage() -> ! {
+    let schemes: Vec<String> = Scheme::ALL
+        .iter()
+        .map(|s| s.name().to_lowercase())
+        .collect();
     eprintln!(
-        "usage:\n  renuca run     [--scheme snuca|rnuca|private|naive|renuca] [--workload 1..10]\n                 [--warmup N] [--measure N] [--l2-128k] [--l3-1m] [--rob-168] [--no-prefetch]\n  renuca apps    [--measure N]\n  renuca schemes [--workload 1..10] [--warmup N] [--measure N]"
+        "usage:\n  renuca run     [--scheme {}]\n                 [--workload 1..10|101..105] [--warmup N] [--measure N]\n                 [--l2-128k] [--l3-1m] [--rob-168] [--no-prefetch]\n  renuca apps    [--measure N]\n  renuca schemes [--workload 1..10|101..105] [--warmup N] [--measure N]\n\nschemes ignore case and hyphens; workloads 101..104 are WB1..WB4, 105 is trickle",
+        schemes.join("|")
     );
     std::process::exit(2)
 }
@@ -27,7 +33,7 @@ struct Args {
     cfg: SystemConfig,
 }
 
-fn parse(args: &[String]) -> Args {
+fn parse(args: &[String]) -> Result<Args, String> {
     let mut out = Args {
         scheme: Scheme::ReNuca,
         workload: 1,
@@ -36,44 +42,45 @@ fn parse(args: &[String]) -> Args {
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut value = |name: &str| -> String {
+        let mut value = |name: &str| -> Result<String, String> {
             it.next()
-                .unwrap_or_else(|| {
-                    eprintln!("missing value for {name}");
-                    usage()
-                })
-                .clone()
+                .cloned()
+                .ok_or_else(|| format!("missing value for {name}"))
+        };
+        let number = |name: &str, v: String| -> Result<u64, String> {
+            v.parse().map_err(|_| format!("bad {name} {v:?}"))
         };
         match a.as_str() {
             "--scheme" => {
-                out.scheme = match value("--scheme").to_lowercase().as_str() {
-                    "snuca" | "s-nuca" => Scheme::SNuca,
-                    "rnuca" | "r-nuca" => Scheme::RNuca,
-                    "private" => Scheme::Private,
-                    "naive" => Scheme::Naive,
-                    "renuca" | "re-nuca" => Scheme::ReNuca,
-                    other => {
-                        eprintln!("unknown scheme {other}");
-                        usage()
-                    }
-                }
+                let v = value("--scheme")?;
+                out.scheme = Scheme::from_name(&v).ok_or_else(|| format!("unknown scheme {v}"))?;
             }
-            "--workload" => out.workload = value("--workload").parse().unwrap_or_else(|_| usage()),
-            "--warmup" => out.budget.warmup = value("--warmup").parse().unwrap_or_else(|_| usage()),
-            "--measure" => {
-                out.budget.measure = value("--measure").parse().unwrap_or_else(|_| usage())
+            "--workload" => {
+                let v = value("--workload")?;
+                out.workload = v
+                    .parse()
+                    .ok()
+                    .filter(|&id| is_workload_id(id))
+                    .ok_or_else(|| format!("unknown workload {v}"))?;
             }
+            "--warmup" => out.budget.warmup = number("--warmup", value("--warmup")?)?,
+            "--measure" => out.budget.measure = number("--measure", value("--measure")?)?,
             "--l2-128k" => out.cfg = out.cfg.with_l2_128k(),
             "--l3-1m" => out.cfg = out.cfg.with_l3_1m(),
             "--rob-168" => out.cfg = out.cfg.with_rob_168(),
             "--no-prefetch" => out.cfg.prefetch.enabled = false,
-            other => {
-                eprintln!("unknown flag {other}");
-                usage()
-            }
+            other => return Err(format!("unknown flag {other}")),
         }
     }
-    out
+    Ok(out)
+}
+
+/// [`parse`], printing the error and the usage text on failure.
+fn parse_or_exit(args: &[String]) -> Args {
+    parse(args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage()
+    })
 }
 
 fn run_one(scheme: Scheme, workload: usize, cfg: SystemConfig, budget: Budget) -> SimResult {
@@ -111,10 +118,13 @@ fn main() {
     };
     match cmd.as_str() {
         "run" => {
-            let a = parse(rest);
+            let a = parse_or_exit(rest);
             println!(
-                "scheme={} workload=WL{} warmup={} measure={}",
-                a.scheme, a.workload, a.budget.warmup, a.budget.measure
+                "scheme={} workload={} warmup={} measure={}",
+                a.scheme,
+                workload_mix(a.workload, 1).name(),
+                a.budget.warmup,
+                a.budget.measure
             );
             let r = run_one(a.scheme, a.workload, a.cfg, a.budget);
             print_result(&r);
@@ -126,7 +136,7 @@ fn main() {
             }
         }
         "apps" => {
-            let a = parse(rest);
+            let a = parse_or_exit(rest);
             let rows = renuca::experiments::figures::table2::run(a.budget);
             println!(
                 "{}",
@@ -134,13 +144,48 @@ fn main() {
             );
         }
         "schemes" => {
-            let a = parse(rest);
-            println!("workload WL{}:", a.workload);
+            let a = parse_or_exit(rest);
+            println!("workload {}:", workload_mix(a.workload, 1).name());
             for scheme in Scheme::ALL {
                 let r = run_one(scheme, a.workload, a.cfg, a.budget);
                 print_result(&r);
             }
         }
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    #[test]
+    fn every_scheme_parses_by_name() {
+        for s in Scheme::ALL {
+            for spelling in [
+                s.name().to_string(),
+                s.name().to_lowercase(),
+                s.name().replace('-', ""),
+            ] {
+                let a = parse(&args(&["--scheme", &spelling])).unwrap();
+                assert_eq!(a.scheme, s, "{spelling}");
+            }
+        }
+        assert!(parse(&args(&["--scheme", "bogus"])).is_err());
+    }
+
+    #[test]
+    fn workload_ids_are_validated() {
+        for id in ["1", "10", "101", "104", "105"] {
+            assert!(parse(&args(&["--workload", id])).is_ok(), "{id}");
+        }
+        for id in ["0", "11", "100", "106", "x"] {
+            assert!(parse(&args(&["--workload", id])).is_err(), "{id}");
+        }
+        assert!(parse(&args(&["--workload"])).is_err());
     }
 }
