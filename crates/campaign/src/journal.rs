@@ -83,7 +83,7 @@ pub enum Record {
     },
 }
 
-pub(crate) fn escape(s: &str) -> String {
+fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -96,7 +96,7 @@ pub(crate) fn escape(s: &str) -> String {
     out
 }
 
-pub(crate) fn unescape(s: &str) -> String {
+fn unescape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -215,7 +215,7 @@ impl Record {
 /// Split `k1=v1 k2=v2 ... kn=vn` given the exact expected key sequence.
 /// Values of all keys but the last must be space-free; the last value is
 /// the remainder of the line (panic payloads, job keys).
-pub(crate) fn split_fields<'a>(rest: &'a str, keys: &[&str]) -> Option<Vec<&'a str>> {
+fn split_fields<'a>(rest: &'a str, keys: &[&str]) -> Option<Vec<&'a str>> {
     let mut out = Vec::with_capacity(keys.len());
     let mut remaining = rest;
     for (i, key) in keys.iter().enumerate() {

@@ -20,7 +20,7 @@ use renuca_core::CptConfig;
 use workloads::workload_mix;
 
 use crate::hashes::fnv1a64;
-use crate::journal::{journal_files, read_journal, shard_file_name, Journal, Record};
+use crate::journal::{journal_files, read_journal, Journal, Record};
 use crate::spec::{CampaignSpec, Job};
 
 /// How one scheduler invocation should run.
@@ -188,36 +188,14 @@ pub struct RunOutcome {
     pub report: Option<PathBuf>,
 }
 
+/// What happened to one pending job in this invocation.
 enum JobResult {
-    Done,
-    Quarantined,
-    NotScheduled,
-}
-
-/// What [`execute_one`] proved about a job — enough detail for the daemon
-/// to stream completion events without re-reading the journal.
-#[derive(Clone, Debug)]
-pub enum JobOutcome {
     /// The job completed; its manifest and `done` record are durable.
-    Done {
-        /// Job id.
-        id: String,
-        /// Canonical job key.
-        key: String,
-        /// Manifest path relative to the campaign dir.
-        manifest: String,
-    },
+    Done,
     /// The job exhausted its retries; the `quarantine` record is durable.
-    Quarantined {
-        /// Job id.
-        id: String,
-        /// Canonical job key.
-        key: String,
-        /// Attempts made.
-        attempts: u32,
-        /// Panic payload of the last attempt.
-        payload: String,
-    },
+    Quarantined,
+    /// `max_jobs` stopped scheduling before the job started.
+    NotScheduled,
 }
 
 /// Execute (or resume) a campaign shard. Idempotent: completed work is
@@ -265,10 +243,7 @@ pub fn run(spec: &CampaignSpec, dir: &Path, opts: RunOptions) -> Result<RunOutco
         if stop.load(Ordering::SeqCst) {
             return JobResult::NotScheduled;
         }
-        let result = match execute_one(spec, dir, job, &journal) {
-            JobOutcome::Done { .. } => JobResult::Done,
-            JobOutcome::Quarantined { .. } => JobResult::Quarantined,
-        };
+        let result = execute_one(spec, dir, job, &journal);
         let finished = completed.fetch_add(1, Ordering::SeqCst) + 1;
         if opts.max_jobs.is_some_and(|k| finished >= k) {
             stop.store(true, Ordering::SeqCst);
@@ -311,20 +286,10 @@ pub fn run(spec: &CampaignSpec, dir: &Path, opts: RunOptions) -> Result<RunOutco
     Ok(outcome)
 }
 
-/// Run one job to completion or quarantine. Returns after appending the
-/// final `done`/`quarantine` record for it.
-///
-/// This is *the* job execution path: the batch scheduler ([`run`]) and
-/// the daemon (`serve::daemon`) both call it, so retries, backoff,
-/// quarantine capture and journal framing are identical no matter which
-/// front end drove the campaign — which is what makes daemon-produced
-/// reports byte-identical to CLI-produced ones.
-pub fn execute_one(
-    spec: &CampaignSpec,
-    dir: &Path,
-    job: &Job,
-    journal: &Mutex<Journal>,
-) -> JobOutcome {
+/// Run one job to completion or quarantine, with bounded retries and
+/// deterministic backoff. Returns after appending the final
+/// `done`/`quarantine` record for it.
+fn execute_one(spec: &CampaignSpec, dir: &Path, job: &Job, journal: &Mutex<Journal>) -> JobResult {
     let id = job.id(&spec.name);
     let injected = spec.injected_failures(job.workload);
     let mut last_payload = String::new();
@@ -350,11 +315,7 @@ pub fn execute_one(
                     .unwrap()
                     .append(&record)
                     .expect("journal append");
-                return JobOutcome::Done {
-                    id,
-                    key: job.key(),
-                    manifest: job.manifest_rel(&spec.name),
-                };
+                return JobResult::Done;
             }
             Err(payload) => {
                 last_payload = panic_text(payload.as_ref());
@@ -372,7 +333,7 @@ pub fn execute_one(
                     // Deterministic exponential backoff, capped at 10 s.
                     let ms = spec
                         .backoff_ms
-                        .saturating_mul(1 << (attempt - 1))
+                        .saturating_mul(1u64.checked_shl(attempt - 1).unwrap_or(u64::MAX))
                         .min(10_000);
                     std::thread::sleep(std::time::Duration::from_millis(ms));
                 }
@@ -380,21 +341,16 @@ pub fn execute_one(
         }
     }
     let record = Record::Quarantine {
-        id: id.clone(),
+        id,
         attempts: spec.max_attempts(),
-        payload: last_payload.clone(),
+        payload: last_payload,
     };
     journal
         .lock()
         .unwrap()
         .append(&record)
         .expect("journal append");
-    JobOutcome::Quarantined {
-        id,
-        key: job.key(),
-        attempts: spec.max_attempts(),
-        payload: last_payload,
-    }
+    JobResult::Quarantined
 }
 
 /// Simulate one grid cell, write its `renuca-manifest-v1` atomically, and
@@ -446,8 +402,8 @@ pub struct StatusSummary {
     /// Jobs proven done.
     pub done: usize,
     /// Jobs quarantined, with `(id, key, attempts, payload)`. The id and
-    /// full panic payload are surfaced so `campaign status` (and the
-    /// daemon's status reply) point straight at the failing cell.
+    /// full panic payload are surfaced so `campaign status` points straight
+    /// at the failing cell.
     pub quarantined: Vec<(String, String, u32, String)>,
     /// Failed attempts recorded across all invocations.
     pub failed_attempts: usize,
@@ -479,9 +435,4 @@ pub fn status(spec: &CampaignSpec, dir: &Path) -> Result<StatusSummary, String> 
 /// `resume`-refuses-to-start-fresh CLI behaviour).
 pub fn has_journal(dir: &Path) -> bool {
     journal_files(dir).map_or(false, |files| !files.is_empty())
-}
-
-/// The journal path a given shard invocation would append to.
-pub fn journal_path(dir: &Path, shard_index: usize, shard_count: usize) -> PathBuf {
-    dir.join(shard_file_name(shard_index, shard_count))
 }

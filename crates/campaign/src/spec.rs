@@ -225,7 +225,7 @@ impl CampaignSpec {
         for (desc, v) in overrides {
             config_desc.push_str(&format!(" {desc}={v}"));
         }
-        config.validate();
+        config.check().map_err(|e| format!("invalid config: {e}"))?;
 
         Ok(CampaignSpec {
             name,
@@ -264,7 +264,7 @@ impl CampaignSpec {
 
     /// Number of attempts a job gets before quarantine.
     pub fn max_attempts(&self) -> u32 {
-        self.retries + 1
+        self.retries.saturating_add(1)
     }
 
     /// Fault injection lookup: how many leading attempts of `workload`'s
@@ -301,6 +301,9 @@ fn parse_config(rest: &[&str]) -> Result<(SystemConfig, String), String> {
             let rows: usize = r.parse().map_err(|_| format!("bad mesh rows {r:?}"))?;
             if cols == 0 || rows == 0 {
                 return Err("mesh needs at least one tile".into());
+            }
+            if cols.checked_mul(rows).is_none() {
+                return Err(format!("mesh {cols}x{rows} has too many tiles"));
             }
             Ok((
                 SystemConfig::mesh(cols, rows),
@@ -360,6 +363,18 @@ pub fn scheme_by_name(name: &str) -> Result<Scheme, String> {
 }
 
 fn parse_workloads(rest: &[&str]) -> Result<Vec<usize>, String> {
+    let valid = |id: usize| {
+        if workloads::is_workload_id(id) {
+            Ok(id)
+        } else {
+            Err(format!(
+                "workload {id} out of range (1..={} or write-burst ids {}..={})",
+                workloads::N_WORKLOADS,
+                workloads::WBURST_ID_BASE + 1,
+                workloads::TRICKLE_ID
+            ))
+        }
+    };
     let mut out = Vec::new();
     for w in rest {
         if let Some((a, b)) = w.split_once("..") {
@@ -368,6 +383,8 @@ fn parse_workloads(rest: &[&str]) -> Result<Vec<usize>, String> {
             if a == 0 || b < a {
                 return Err(format!("bad workload range {w:?}"));
             }
+            // Bound the range by a valid end before expanding it.
+            valid(b)?;
             out.extend(a..=b);
         } else {
             let id: usize = w.parse().map_err(|_| format!("bad workload id {w:?}"))?;
@@ -378,14 +395,7 @@ fn parse_workloads(rest: &[&str]) -> Result<Vec<usize>, String> {
         }
     }
     for id in &out {
-        if !workloads::is_workload_id(*id) {
-            return Err(format!(
-                "workload {id} out of range (1..={} or write-burst ids {}..={})",
-                workloads::N_WORKLOADS,
-                workloads::WBURST_ID_BASE + 1,
-                workloads::TRICKLE_ID
-            ));
-        }
+        valid(*id)?;
     }
     if out.is_empty() {
         return Err("workloads needs at least one id".into());
@@ -434,6 +444,7 @@ fn apply_override(cfg: &mut SystemConfig, field: &str, value: &str) -> Result<()
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_rng::SimRng;
 
     const TINY: &str = "\
 renuca-campaign-v1
@@ -535,9 +546,108 @@ retries 1
             "renuca-campaign-v1\nname x\nschemes all\nworkloads 1\nbudget warmup=1\n",
             "renuca-campaign-v1\nname x\nschemes all\nworkloads 1\nfrobnicate 7\n",
             "renuca-campaign-v1\nname x\nschemes all\nworkloads 1\nthresholds -1\n",
+            "renuca-campaign-v1\nname x\nschemes all\nworkloads 1\nset l2.size_bytes 1000\n",
+            "renuca-campaign-v1\nname x\nschemes all\nworkloads 1\nset rob_entries 0\n",
+            "renuca-campaign-v1\nname x\nschemes all\nworkloads 1\n\
+             config mesh 4294967296 4294967296\n",
+            "renuca-campaign-v1\nname x\nschemes all\nworkloads 1..18446744073709551615\n",
         ] {
             assert!(CampaignSpec::parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    /// Apply one random line-level or byte-level mutation to a spec text:
+    /// drop, duplicate or swap lines, replace digit runs with boundary
+    /// values, or truncate at an arbitrary byte.
+    fn mutate(text: &str, rng: &mut SimRng) -> String {
+        const NUMBERS: [&str; 4] = ["0", "1", "1000", "18446744073709551615"];
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        if lines.is_empty() {
+            return String::new();
+        }
+        let i = rng.gen_range_usize(0..lines.len());
+        match rng.gen_bounded(5) {
+            0 => {
+                lines.remove(i);
+            }
+            1 => lines.insert(i, lines[i].clone()),
+            2 => {
+                let j = rng.gen_range_usize(0..lines.len());
+                lines.swap(i, j);
+            }
+            3 => {
+                let mut out = String::new();
+                let mut chars = lines[i].chars().peekable();
+                while let Some(c) = chars.next() {
+                    if !c.is_ascii_digit() {
+                        out.push(c);
+                        continue;
+                    }
+                    let mut run = c.to_string();
+                    while let Some(d) = chars.next_if(char::is_ascii_digit) {
+                        run.push(d);
+                    }
+                    if rng.gen_bool(0.5) {
+                        run = NUMBERS[rng.gen_range_usize(0..NUMBERS.len())].to_string();
+                    }
+                    out.push_str(&run);
+                }
+                lines[i] = out;
+            }
+            _ => {
+                let joined = lines.join("\n");
+                let cut = rng.gen_range_usize(0..joined.len() + 1);
+                return String::from_utf8_lossy(&joined.as_bytes()[..cut]).into_owned();
+            }
+        }
+        lines.join("\n")
+    }
+
+    /// Every directive the committed specs leave out, so mutations also
+    /// reach the `set`, `mesh`, `budget` and retry paths.
+    const EVERY_DIRECTIVE: &str = "\
+renuca-campaign-v1
+name every
+config mesh 3 2
+budget warmup=100 measure=500
+schemes S-NUCA Re-NUCA
+workloads 1 2..4 101
+thresholds 3 25
+set l2.size_bytes 131072
+set l3_bank.size_bytes 1048576
+set rob_entries 168
+set naive_dir_latency 150
+set prefetch.enabled 1
+set intra_bank_rotation_writes 1000
+retries 1
+backoff-ms 10
+inject-fail 3 1
+";
+
+    #[test]
+    fn mutated_committed_specs_never_panic() {
+        const SPECS: [&str; 6] = [
+            EVERY_DIRECTIVE,
+            include_str!("../../../campaigns/fig3.campaign"),
+            include_str!("../../../campaigns/compress.campaign"),
+            include_str!("../../../campaigns/headtohead.campaign"),
+            include_str!("../../../campaigns/wburst.campaign"),
+            include_str!("../../../campaigns/xpct.campaign"),
+        ];
+        let mut rng = SimRng::seed_from_u64(0x5bec_f022);
+        let (mut ok, mut err) = (0, 0);
+        for trial in 0..4000 {
+            let mut text = SPECS[trial % SPECS.len()].to_string();
+            for _ in 0..rng.gen_range_usize(1..4) {
+                text = mutate(&text, &mut rng);
+            }
+            match std::panic::catch_unwind(|| CampaignSpec::parse(&text)) {
+                Ok(Ok(_)) => ok += 1,
+                Ok(Err(_)) => err += 1,
+                Err(_) => panic!("trial {trial}: parse panicked on {text:?}"),
+            }
+        }
+        assert!(ok > 0 && err > 0, "fuzz is degenerate: {ok} ok, {err} err");
     }
 
     #[test]

@@ -51,13 +51,23 @@ impl CacheGeometry {
     /// Panics if the geometry does not divide into a whole power-of-two
     /// number of sets — indexing uses bit masks.
     pub fn sets(&self) -> usize {
+        self.check_sets().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`CacheGeometry::sets`] without the panic; also rejects a zero
+    /// associativity instead of dividing by it.
+    fn check_sets(&self) -> Result<usize, String> {
         let lines = self.size_bytes / LINE_BYTES;
-        let sets = lines as usize / self.assoc;
-        assert!(
-            sets > 0 && sets.is_power_of_two() && lines as usize % self.assoc == 0,
-            "cache geometry {self:?} must give a power-of-two number of sets"
-        );
-        sets
+        match (lines as usize).checked_div(self.assoc) {
+            Some(sets)
+                if sets > 0 && sets.is_power_of_two() && lines as usize % self.assoc == 0 =>
+            {
+                Ok(sets)
+            }
+            _ => Err(format!(
+                "cache geometry {self:?} must give a power-of-two number of sets"
+            )),
+        }
     }
 
     /// Total number of line slots.
@@ -472,50 +482,70 @@ impl SystemConfig {
     /// Validate internal consistency. Called by `System::new`.
     ///
     /// # Panics
-    /// Panics with a descriptive message on inconsistent configuration.
+    /// Panics with [`SystemConfig::check`]'s message on inconsistent
+    /// configuration.
     pub fn validate(&self) {
-        assert!(self.n_cores > 0, "need at least one core");
-        assert_eq!(
-            self.n_cores, self.n_banks,
-            "the paper's NUCA keeps one bank per core"
-        );
-        assert_eq!(
-            self.noc.cols * self.noc.rows,
-            self.n_cores,
-            "mesh must have one tile per core"
-        );
-        assert!(self.rob_entries >= self.fetch_width);
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
+    }
+
+    /// Check internal consistency, returning a descriptive message for the
+    /// first violated rule. Never panics, whatever the field values — the
+    /// campaign spec parser relies on that to reject configurations built
+    /// from untrusted text.
+    pub fn check(&self) -> Result<(), String> {
+        let rule = |ok: bool, msg: &str| if ok { Ok(()) } else { Err(msg.to_string()) };
+        rule(self.n_cores > 0, "need at least one core")?;
+        rule(
+            self.n_cores == self.n_banks,
+            "the paper's NUCA keeps one bank per core",
+        )?;
+        rule(
+            self.noc.cols.checked_mul(self.noc.rows) == Some(self.n_cores),
+            "mesh must have one tile per core",
+        )?;
+        rule(
+            self.rob_entries >= self.fetch_width,
+            "rob_entries must be at least fetch_width",
+        )?;
         // Bank counts need not be powers of two: every bank-selection path
         // (S-NUCA striping, owner decoding, DRAM channel hashing) either
         // masks behind a pow2 check or falls back to modulo.
-        // Trigger the power-of-two set checks.
-        let _ = self.l1.sets();
-        let _ = self.l2.sets();
-        let _ = self.l3_bank.sets();
         for (name, g) in [("l1", self.l1), ("l2", self.l2), ("l3_bank", self.l3_bank)] {
-            assert!(
+            g.check_sets().map_err(|e| format!("{name}: {e}"))?;
+            rule(
                 g.tag_latency <= g.read_latency,
-                "{name}: the tag check overlaps the data read on a hit, \
-                 so tag_latency must not exceed read_latency"
-            );
-            assert!(
+                &format!(
+                    "{name}: the tag check overlaps the data read on a hit, \
+                     so tag_latency must not exceed read_latency"
+                ),
+            )?;
+            rule(
                 g.read_latency <= g.write_latency,
-                "{name}: writes cannot be faster than reads \
-                 (symmetric geometries use equal latencies)"
-            );
+                &format!(
+                    "{name}: writes cannot be faster than reads \
+                     (symmetric geometries use equal latencies)"
+                ),
+            )?;
         }
-        assert!(self.tlb_entries % self.tlb_assoc == 0);
-        assert!((self.tlb_entries / self.tlb_assoc).is_power_of_two());
+        rule(
+            self.tlb_entries.checked_rem(self.tlb_assoc) == Some(0)
+                && (self.tlb_entries / self.tlb_assoc).is_power_of_two(),
+            "tlb_entries / tlb_assoc must be a whole power-of-two number of sets",
+        )?;
         // The compression model splits a line into equal sub-blocks; a
         // count that does not divide the 64 B line would leave a ragged
         // tail sub-block the wear masks cannot address.
-        assert!(
+        rule(
             self.l3_subblocks >= 1
                 && self.l3_subblocks as u64 <= LINE_BYTES
                 && LINE_BYTES % self.l3_subblocks as u64 == 0,
-            "l3_subblocks = {} must divide the {LINE_BYTES} B line size",
-            self.l3_subblocks
-        );
+            &format!(
+                "l3_subblocks = {} must divide the {LINE_BYTES} B line size",
+                self.l3_subblocks
+            ),
+        )
     }
 }
 
@@ -657,6 +687,24 @@ mod tests {
         let mut c = SystemConfig::default();
         c.l3_subblocks = 0;
         c.validate();
+    }
+
+    #[test]
+    fn check_reports_bad_fields_without_panicking() {
+        let bad: [fn(&mut SystemConfig); 6] = [
+            |c| c.rob_entries = 0,
+            |c| c.l2.size_bytes = 1000,
+            |c| c.l1.assoc = 0,
+            |c| c.tlb_assoc = 0,
+            |c| (c.noc.cols, c.noc.rows) = (usize::MAX, usize::MAX),
+            |c| c.n_banks = 0,
+        ];
+        for (i, f) in bad.iter().enumerate() {
+            let mut c = SystemConfig::default();
+            f(&mut c);
+            assert!(c.check().is_err(), "case {i} accepted");
+        }
+        assert_eq!(SystemConfig::default().check(), Ok(()));
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! EXPERIMENTS.md ("Observability: run manifests") with a committed example
 //! at `docs/manifest.example.json`. These tests pin the documented shape:
 //! top-level key order, budget echo, per-scheme stats paths, heatmap rows —
-//! and that the committed example still matches the same skeleton.
+//! and that the committed example carries exactly the keys the code emits.
+
+use std::sync::OnceLock;
 
 use cmp_sim::SystemConfig;
 use experiments::figures::lifetime;
@@ -24,20 +26,53 @@ fn assert_key_skeleton(json: &str, what: &str) {
     }
 }
 
+/// The fixed-seed fig3 manifest at the test budget, built once and shared
+/// by the tests below, plus a second rendering of the same study.
+fn fig3_manifest() -> &'static (String, String) {
+    static MANIFEST: OnceLock<(String, String)> = OnceLock::new();
+    MANIFEST.get_or_init(|| {
+        let cfg = SystemConfig::default();
+        let budget = Budget::test();
+        let study = lifetime::run("Actual Results", cfg, budget);
+        let render = || {
+            let mut m = Manifest::new("fig3", study.label, Some(&cfg), budget);
+            obs::register_study(&mut m, &study);
+            m.to_json()
+        };
+        (render(), render())
+    })
+}
+
+/// Every JSON key of `json` in document order, plus the value of every
+/// `"label"` key (the run label and the heatmap row labels). Manifests
+/// carry no escaped quotes, so a string ends at the next `"`.
+fn key_sequence(json: &str) -> Vec<&str> {
+    let mut out = Vec::new();
+    let mut rest = json;
+    let mut after_label = false;
+    while let Some(open) = rest.find('"') {
+        let body = &rest[open + 1..];
+        let close = body.find('"').expect("unterminated JSON string");
+        let s = &body[..close];
+        rest = &body[close + 1..];
+        let is_key = rest.starts_with(':');
+        if is_key || after_label {
+            out.push(s);
+        }
+        after_label = is_key && s == "label";
+    }
+    out
+}
+
 #[test]
 fn fixed_seed_fig3_manifest_matches_documented_schema() {
-    let cfg = SystemConfig::default();
-    let budget = Budget::test();
-    let study = lifetime::run("Actual Results", cfg, budget);
-    let mut m = Manifest::new("fig3", study.label, Some(&cfg), budget);
-    obs::register_study(&mut m, &study);
-    let json = m.to_json();
+    let (json, rebuilt) = fig3_manifest();
 
     assert!(
         json.starts_with(&format!("{{\"schema\":\"{MANIFEST_SCHEMA}\"")),
         "manifest must lead with the schema id"
     );
-    assert_key_skeleton(&json, "generated manifest");
+    assert_key_skeleton(json, "generated manifest");
     assert!(json.contains("\"budget\":{\"warmup\":2000,\"measure\":10000}"));
     // Config echo present and non-null for a single-config run.
     assert!(json.contains("\"config.n_cores\":16"));
@@ -63,9 +98,7 @@ fn fixed_seed_fig3_manifest_matches_documented_schema() {
 
     // Determinism: rebuilding the manifest from the same study is
     // byte-identical (key order is part of the schema).
-    let mut m2 = Manifest::new("fig3", study.label, Some(&cfg), budget);
-    obs::register_study(&mut m2, &study);
-    assert_eq!(json, m2.to_json());
+    assert_eq!(json, rebuilt);
 }
 
 #[test]
@@ -80,6 +113,14 @@ fn committed_example_manifest_matches_skeleton() {
     assert!(example.contains("\"binary\":\"fig3\""));
     // Recorded at the fixed test budget, as EXPERIMENTS.md states.
     assert!(example.contains("\"budget\":{\"warmup\":2000,\"measure\":10000}"));
+    // The full key sequence — config echo, every stats path, heatmap row
+    // labels — must match what the current code emits. Regenerate with
+    // `RENUCA_WARMUP=2000 RENUCA_MEASURE=10000 fig3 --stats docs/manifest.example.json`.
+    assert_eq!(
+        key_sequence(&example),
+        key_sequence(&fig3_manifest().0),
+        "docs/manifest.example.json is stale"
+    );
 }
 
 #[test]
