@@ -35,23 +35,14 @@ use sim_stats::JsonObject;
 /// The reduced default budget for figure bench targets (overridable via
 /// `RENUCA_WARMUP` / `RENUCA_MEASURE`).
 pub fn bench_budget() -> Budget {
-    let env = Budget::from_env();
-    let default = Budget {
+    Budget::from_env_or(Budget {
         warmup: 150_000,
         measure: 100_000,
-    };
-    Budget {
-        warmup: if std::env::var("RENUCA_WARMUP").is_ok() {
-            env.warmup
-        } else {
-            default.warmup
-        },
-        measure: if std::env::var("RENUCA_MEASURE").is_ok() {
-            env.measure
-        } else {
-            default.measure
-        },
-    }
+    })
+    .unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
 /// Print a standard header so bench output is self-describing.

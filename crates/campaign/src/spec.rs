@@ -60,7 +60,8 @@ pub struct CampaignSpec {
     pub config: SystemConfig,
     /// Human-readable description of the config line + overrides.
     pub config_desc: String,
-    /// Instruction budget per job (spec line, else `RENUCA_*` env).
+    /// Instruction budget per job (spec line, else `RENUCA_*` env; a
+    /// malformed variable is a parse error).
     pub budget: Budget,
     /// Placement schemes, in spec order.
     pub schemes: Vec<Scheme>,
@@ -231,7 +232,10 @@ impl CampaignSpec {
             name,
             config,
             config_desc,
-            budget: budget.unwrap_or_else(Budget::from_env),
+            budget: match budget {
+                Some(b) => b,
+                None => Budget::from_env()?,
+            },
             schemes,
             workloads,
             thresholds,

@@ -16,6 +16,7 @@
 //! at a reduced budget; the committed campaign report pins the full-budget
 //! numbers.
 
+use cmp_sim::SystemConfig;
 use experiments::forecast::forecast_study;
 use experiments::obs;
 use experiments::runner::lifetime_model;
@@ -25,7 +26,7 @@ use workloads::{N_WBURST, N_WORKLOADS, WBURST_ID_BASE};
 
 fn main() {
     let (sink, budget) = obs::standard_args();
-    let cfg = obs::default_config();
+    let cfg = SystemConfig::default();
     let model = lifetime_model(&cfg);
 
     let mut ids: Vec<usize> = (1..=N_WORKLOADS).collect();

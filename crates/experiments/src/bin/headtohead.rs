@@ -16,6 +16,7 @@
 //! The durable/resumable equivalent of this binary is
 //! `campaigns/headtohead.campaign`.
 
+use cmp_sim::SystemConfig;
 use experiments::obs;
 use experiments::pool::parallel_map;
 use experiments::runner::{aggregate_study, lifetime_model, run_workload, SchemeStudy};
@@ -37,7 +38,7 @@ struct Contender {
 
 fn main() {
     let (sink, budget) = obs::standard_args();
-    let cfg = obs::default_config();
+    let cfg = SystemConfig::default();
     let model = lifetime_model(&cfg);
     let cpt = CptConfig::default();
     let assoc = cfg.l3_bank.assoc;

@@ -26,7 +26,7 @@ fn main() {
         return;
     }
 
-    let cfg = obs::default_config();
+    let cfg = SystemConfig::default();
     let model = lifetime_model(&cfg);
     let levels: Vec<usize> = (1..=N_WBURST).collect();
 

@@ -10,18 +10,34 @@ pub struct Budget {
 }
 
 impl Budget {
-    /// Default budgets, overridable via `RENUCA_WARMUP` / `RENUCA_MEASURE`.
+    /// The paper-figure budgets: 500 k warm-up and 300 k measured
+    /// instructions per core.
     ///
     /// The paper simulates 100 M instructions per core after warming; the
     /// synthetic workload models are stationary, so bank write *rates* and
     /// criticality mixes converge within a few hundred thousand
     /// instructions — which is what one CPU can sweep over 5 schemes × 10
     /// workloads × 4 configurations in minutes rather than days.
-    pub fn from_env() -> Self {
-        Budget {
-            warmup: env_u64("RENUCA_WARMUP", 500_000),
-            measure: env_u64("RENUCA_MEASURE", 300_000),
-        }
+    pub const DEFAULT: Budget = Budget {
+        warmup: 500_000,
+        measure: 300_000,
+    };
+
+    /// [`Budget::DEFAULT`], overridden by `RENUCA_WARMUP` /
+    /// `RENUCA_MEASURE`.
+    pub fn from_env() -> Result<Self, String> {
+        Self::from_env_or(Self::DEFAULT)
+    }
+
+    /// `default`, overridden by `RENUCA_WARMUP` / `RENUCA_MEASURE`. An
+    /// unset or empty variable keeps the default; any other value must be
+    /// a `u64`, or the error names the variable and its value.
+    pub fn from_env_or(default: Budget) -> Result<Self, String> {
+        let var = |name| std::env::var(name).ok();
+        Ok(Budget {
+            warmup: parse_count("RENUCA_WARMUP", var("RENUCA_WARMUP"), default.warmup)?,
+            measure: parse_count("RENUCA_MEASURE", var("RENUCA_MEASURE"), default.measure)?,
+        })
     }
 
     /// A reduced budget for the multi-configuration sweeps (sensitivity
@@ -52,11 +68,15 @@ impl Budget {
     }
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// One budget variable's value: `default` when unset or empty, else the
+/// value parsed as a `u64`.
+fn parse_count(name: &str, value: Option<String>, default: u64) -> Result<u64, String> {
+    match value.as_deref() {
+        None | Some("") => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("{name}={v:?} is not a non-negative integer")),
+    }
 }
 
 #[cfg(test)]
@@ -65,9 +85,22 @@ mod tests {
 
     #[test]
     fn defaults_are_sane() {
-        let b = Budget::from_env();
+        let b = Budget::DEFAULT;
         assert!(b.measure >= 20_000);
         assert!(b.warmup >= 1_000);
+    }
+
+    #[test]
+    fn budget_variables_parse_strictly() {
+        let some = |v: &str| Some(v.to_string());
+        assert_eq!(parse_count("RENUCA_WARMUP", None, 7), Ok(7));
+        assert_eq!(parse_count("RENUCA_WARMUP", some(""), 7), Ok(7));
+        assert_eq!(parse_count("RENUCA_WARMUP", some("20000"), 7), Ok(20_000));
+        assert_eq!(parse_count("RENUCA_WARMUP", some("0"), 7), Ok(0));
+        for bad in ["20k", "-1", " 5", "1e5", "18446744073709551616"] {
+            let e = parse_count("RENUCA_MEASURE", some(bad), 7).unwrap_err();
+            assert!(e.contains("RENUCA_MEASURE") && e.contains(bad), "{e}");
+        }
     }
 
     #[test]

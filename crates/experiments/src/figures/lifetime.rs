@@ -143,16 +143,6 @@ pub fn format_ipc_improvements(title: &str, study: &MainStudy) -> String {
     format!("{title}\n{}", t.render())
 }
 
-/// Render one Table III row ("raw minimum lifetime \[years\]").
-pub fn format_table3_row(study: &MainStudy) -> String {
-    let mut t = Table::new(&["Config", "Naive", "S-NUCA", "Re-NUCA", "R-NUCA", "Private"]);
-    let row = study.table3_row();
-    let mut cells = vec![study.label.to_owned()];
-    cells.extend(row.iter().map(|(_, v)| format!("{v:.2}")));
-    t.row(&cells);
-    t.render()
-}
-
 /// Headline numbers the paper's abstract quotes: Re-NUCA's raw-minimum
 /// lifetime gain over R-NUCA and its IPC deltas vs R-NUCA / S-NUCA.
 pub fn headline(study: &MainStudy) -> String {
@@ -184,7 +174,6 @@ mod tests {
         assert!(format_fig12(&study).contains("Re-NUCA"));
         assert!(format_fig4b(&study).contains("Lifetime"));
         assert!(format_fig11(&study).contains("WL1"));
-        assert!(format_table3_row(&study).contains("test"));
         assert!(headline(&study).contains("Re-NUCA"));
     }
 }

@@ -3,10 +3,12 @@
 //!
 //! Each experiment is a pure function from a configuration + instruction
 //! budget to a typed result struct, plus a formatter that prints the same
-//! rows/series the paper plots. The binaries in `src/bin/` and the bench
-//! targets in the `bench` crate are thin wrappers.
+//! rows/series the paper plots. [`figures::FIGURES`] maps each artifact
+//! name to its study; the root crate's `renuca figure <name>` dispatches
+//! through it, and the bench targets in the `bench` crate are thin
+//! wrappers.
 //!
-//! | paper artifact | module | binary |
+//! | paper artifact | module | `renuca figure` name |
 //! |---|---|---|
 //! | Table I (config) | `cmp_sim::config` (defaults) | — |
 //! | Table II (app characteristics) | [`figures::table2`] | `table2` |
@@ -19,17 +21,21 @@
 //! | Figure 12 (Re-NUCA wearout) | [`figures::lifetime`] | `fig12` |
 //! | Figures 13–18 (sensitivity) | [`figures::sensitivity`] | `fig13` … `fig18` |
 //! | Table III (raw min lifetimes) | [`figures::table3`] | `table3` |
+//! | capacity-retention curves | [`figures::capacity`] | `capacity` |
+//! | the six ablations | [`figures::ablations`] | `ablations` |
+//! | everything above, sharing studies | [`figures`] | `all` |
 //!
 //! Instruction budgets scale with the environment variables
-//! `RENUCA_MEASURE` and `RENUCA_WARMUP` (instructions per core); the
-//! defaults keep a full figure regeneration tractable on one CPU while the
-//! statistical workload models stay in their converged steady state.
+//! `RENUCA_MEASURE` and `RENUCA_WARMUP` (instructions per core; a value
+//! that is not a `u64` is an error); the defaults keep a full figure
+//! regeneration tractable on one CPU while the statistical workload
+//! models stay in their converged steady state.
 //!
-//! Every binary additionally accepts `--stats <path>` (or the
-//! `RENUCA_STATS` environment variable) and then writes a JSON *run
-//! manifest* — config echo, stats-registry snapshot, per-bank wear
-//! heatmap — through the shared [`obs`] helper; the schema is documented
-//! in `EXPERIMENTS.md`.
+//! Every figure run and the `forecast`, `headtohead` and `wburst`
+//! binaries in `src/bin/` additionally accept `--stats <path>` (or the `RENUCA_STATS` environment variable) and then
+//! writes a JSON *run manifest* — config echo, stats-registry snapshot,
+//! per-bank wear heatmap — through the shared [`obs`] helper; the schema
+//! is documented in `EXPERIMENTS.md`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,10 +1,11 @@
-//! Shared observability plumbing for the experiment binaries.
+//! Shared observability plumbing for the experiment front ends.
 //!
-//! Every binary in `src/bin/` accepts a common `--stats <path>` flag (or the
-//! `RENUCA_STATS` environment variable) and, when it is given, writes a *run
-//! manifest* next to its normal stdout output: a single JSON document that
-//! echoes the configuration, the instruction budget, a full
-//! [`StatsRegistry`] snapshot and a per-bank wear heatmap. The schema is
+//! `renuca figure <name>` and the study binaries in `src/bin/` accept a
+//! common `--stats <path>` flag (or the `RENUCA_STATS` environment
+//! variable) and, when it is given, write a *run manifest* next to the
+//! normal stdout output: a single JSON document that echoes the
+//! configuration, the instruction budget, a full [`StatsRegistry`]
+//! snapshot and a per-bank wear heatmap. The schema is
 //! documented in `EXPERIMENTS.md` ("Observability") and carries the id
 //! [`MANIFEST_SCHEMA`].
 //!
@@ -75,36 +76,28 @@ pub fn atomic_write(path: &Path, contents: &[u8]) -> std::io::Result<()> {
     result
 }
 
-/// Shared startup for every experiment binary: resolve the manifest
+/// Shared startup for the study binaries: resolve the manifest
 /// destination (`--stats <path>` / `--stats=<path>` / `RENUCA_STATS`) and
 /// the instruction budget (`RENUCA_WARMUP` / `RENUCA_MEASURE`) in one
-/// call. The campaign runner resolves the same pair per job — with
+/// call. A malformed budget variable prints an `error:` line and exits 2.
+/// The campaign runner resolves the same pair per job — with
 /// [`StatsSink::to`] instead of the command line — so every job manifest
 /// goes through exactly this machinery.
 pub fn standard_args() -> (StatsSink, Budget) {
-    (StatsSink::from_env_args(), Budget::from_env())
-}
-
-/// The default 16-core machine for the study-family binaries, honouring
-/// the `RENUCA_SYMMETRIC_LLC` escape hatch: set it to `1` (or `true`) to
-/// map the L3 banks back to the legacy flat-latency model
-/// ([`SystemConfig::with_symmetric_llc`]). The symmetric mapping is
-/// cycle-exact and the config echo drops the asymmetric-only keys, so a
-/// run under the hatch — manifest included — is byte-identical to the
-/// pre-bank-service-model simulator (see DESIGN.md §12).
-pub fn default_config() -> SystemConfig {
-    let cfg = SystemConfig::default();
-    match std::env::var("RENUCA_SYMMETRIC_LLC") {
-        Ok(v) if v == "1" || v.eq_ignore_ascii_case("true") => cfg.with_symmetric_llc(),
-        _ => cfg,
-    }
+    let sink = StatsSink::from_env_args();
+    let budget = Budget::from_env().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    });
+    (sink, budget)
 }
 
 /// Where (if anywhere) a binary should write its run manifest.
 ///
-/// Resolved once at startup from the command line and environment by
-/// [`StatsSink::from_env_args`]; every experiment binary constructs one and
-/// routes its manifest through [`StatsSink::emit_with`].
+/// Resolved once at startup from the command line and environment (by
+/// [`StatsSink::from_env_args`] in the study binaries, from `renuca
+/// figure`'s own flags otherwise); every run routes its manifest through
+/// [`StatsSink::emit_with`].
 #[derive(Clone, Debug, Default)]
 pub struct StatsSink {
     path: Option<PathBuf>,
@@ -117,29 +110,25 @@ impl StatsSink {
     pub fn from_env_args() -> Self {
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
-            if a == "--stats" {
-                match args.next() {
-                    Some(p) => {
-                        return StatsSink {
-                            path: Some(p.into()),
-                        }
-                    }
-                    None => {
-                        eprintln!("error: --stats requires a path argument");
-                        std::process::exit(2);
-                    }
-                }
-            } else if let Some(p) = a.strip_prefix("--stats=") {
-                return StatsSink {
-                    path: Some(p.into()),
+            if let Some(p) = a.strip_prefix("--stats=") {
+                return StatsSink::to(p);
+            } else if a == "--stats" {
+                let Some(p) = args.next() else {
+                    eprintln!("error: --stats requires a path argument");
+                    std::process::exit(2);
                 };
+                return StatsSink::to(p);
             }
         }
+        Self::from_env()
+    }
+
+    /// The `RENUCA_STATS` destination, or a disabled sink when it is unset
+    /// or empty.
+    pub fn from_env() -> Self {
         match std::env::var("RENUCA_STATS") {
-            Ok(p) if !p.is_empty() => StatsSink {
-                path: Some(p.into()),
-            },
-            _ => StatsSink { path: None },
+            Ok(p) if !p.is_empty() => StatsSink::to(p),
+            _ => StatsSink::none(),
         }
     }
 
@@ -153,16 +142,6 @@ impl StatsSink {
     /// A disabled sink: [`StatsSink::emit_with`] becomes a no-op.
     pub fn none() -> Self {
         StatsSink { path: None }
-    }
-
-    /// Whether a destination is configured.
-    pub fn is_active(&self) -> bool {
-        self.path.is_some()
-    }
-
-    /// The configured destination, if any.
-    pub fn path(&self) -> Option<&Path> {
-        self.path.as_deref()
     }
 
     /// Build and write a manifest — but only when a destination is
@@ -304,7 +283,7 @@ pub fn register_scheme(reg: &mut StatsRegistry, s: &SchemeStudy) {
 
 /// Fill a manifest from a [`MainStudy`]: per-scheme metrics in the registry
 /// plus one wear-heatmap row per scheme (harmonic-mean per-bank lifetime in
-/// years). This is the shared body of every study-family binary (fig3,
+/// years). This is the shared body of every study-family figure (fig3,
 /// fig4b, fig11, fig12, the sensitivity sweeps, capacity, table3, all).
 pub fn register_study(m: &mut Manifest, study: &MainStudy) {
     for s in &study.studies {
@@ -316,11 +295,11 @@ pub fn register_study(m: &mut Manifest, study: &MainStudy) {
     }
 }
 
-/// The whole manifest path of a study-family binary in one call: build a
+/// The whole manifest path of a study-family figure in one call: build a
 /// manifest for `binary` labelled with the study's own label, echo `cfg`,
 /// register every scheme's metrics and the per-scheme wear heatmap, and
 /// write it through `sink` (a no-op when no destination is configured).
-/// Shared by fig3/fig4b/fig11/fig12, the six sensitivity binaries and
+/// Shared by fig3/fig4b/fig11/fig12, the six sensitivity figures and
 /// `capacity`; the campaign job runner uses the same sink machinery with
 /// [`StatsSink::to`].
 pub fn emit_study_manifest(

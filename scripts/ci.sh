@@ -33,7 +33,7 @@ echo "== manifest smoke: --stats emits a schema-conformant run manifest =="
 MANIFEST="$(mktemp)"
 trap 'rm -f "$MANIFEST"' EXIT
 RENUCA_WARMUP=500 RENUCA_MEASURE=2000 \
-    ./target/release/fig3 --stats "$MANIFEST" >/dev/null 2>&1
+    ./target/release/renuca figure fig3 --stats "$MANIFEST" >/dev/null 2>&1
 # Top-level keys must appear in the documented order (EXPERIMENTS.md,
 # "Observability: run manifests").
 if ! grep -qE '^\{"schema":"renuca-manifest-v1","binary":"fig3","label":"[^"]+","version":"[^"]+","budget":\{"warmup":500,"measure":2000\},"config":\{.*\},"stats":\{.*\},"wear_heatmap":\{"unit":"years","rows":\[.*\]\}\}$' \
@@ -159,6 +159,39 @@ for cmd in run status verify; do
         --out "$CAMP_TMP/readme" >/dev/null 2>&1
 done
 echo "campaign quickstart OK ($(wc -c < "$CAMP_TMP/readme/report.json") byte report)"
+
+echo "== figure quickstart: the README's documented commands =="
+# The exact `cargo run -- figure` lines from the README quickstart, at a
+# tiny budget, run in a temp dir (`figure all` writes results.json to the
+# working directory). Each must exit 0 and print its figure.
+ROOT="$PWD"
+FIG_TMP="$CAMP_TMP/figures"
+mkdir -p "$FIG_TMP/out"
+for args in "fig12" "table3" "all" "fig12 --stats out/fig12.json"; do
+    # shellcheck disable=SC2086  # $args is a word list on purpose
+    (cd "$FIG_TMP" && RENUCA_WARMUP=500 RENUCA_MEASURE=2000 \
+        cargo run --release --manifest-path "$ROOT/Cargo.toml" -- figure $args \
+        >stdout.txt 2>/dev/null)
+    if [ ! -s "$FIG_TMP/stdout.txt" ]; then
+        echo "figure quickstart FAILED: figure $args printed nothing"
+        exit 1
+    fi
+done
+if ! grep -q '"binary":"fig12"' "$FIG_TMP/out/fig12.json"; then
+    echo "figure quickstart FAILED: figure fig12 --stats wrote no fig12 manifest"
+    exit 1
+fi
+echo "figure quickstart OK"
+
+echo "== docs gate: no command names a removed figure binary =="
+# Every shell script and nested Markdown file, plus the root documents
+# that give commands; the root change log and planning notes are history.
+if git grep -nE -- '--bin (fig[0-9]|table[23]|capacity|ablations|all|calibrate)\b|target/release/(fig[0-9]|table[23]|calibrate)' \
+    -- README.md DESIGN.md EXPERIMENTS.md TESTING.md '*/*.md' '*.sh'; then
+    echo "docs gate FAILED: the lines above name a removed binary (use 'renuca figure <name>')"
+    exit 1
+fi
+echo "docs gate OK"
 
 echo "== campaign spec errors: a malformed spec is an error, not a panic =="
 cat >"$CAMP_TMP/bad.campaign" <<'EOF'

@@ -1,28 +1,44 @@
 //! `renuca` — command-line front end to the simulator.
 //!
 //! ```text
-//! renuca run   [--scheme S] [--workload N] [--warmup I] [--measure I]
-//!              [--l2-128k] [--l3-1m] [--rob-168] [--no-prefetch]
-//! renuca apps                       # Table II style characterization
-//! renuca schemes [--workload N] ... # compare all nine schemes on one mix
+//! renuca run     [--scheme S] [--workload N] [--warmup I] [--measure I]
+//!                [--l2-128k] [--l3-1m] [--rob-168] [--no-prefetch]
+//! renuca schemes [--workload N] ...   # compare all nine schemes on one mix
+//! renuca figure  <name> [--stats P]   # regenerate one paper table/figure
 //! ```
+//!
+//! `figure` takes any name of `experiments::figures::FIGURES` (`fig3`,
+//! `table3`, `all`, …), reads its budget from `RENUCA_WARMUP` /
+//! `RENUCA_MEASURE` and writes a run manifest to `--stats <path>` (or
+//! `RENUCA_STATS`) whose `binary` key is the figure name.
 //!
 //! A thin, dependency-free argument parser: this binary exists so users can
 //! poke at configurations without writing Rust.
 
+use std::path::PathBuf;
+
+use renuca::experiments::figures::{self, Figure, FIGURES};
+use renuca::experiments::StatsSink;
 use renuca::prelude::*;
 use renuca::wear::lifetime_variation;
 use renuca::workloads::is_workload_id;
 
-fn usage() -> ! {
+fn usage_text() -> String {
     let schemes: Vec<String> = Scheme::ALL
         .iter()
         .map(|s| s.name().to_lowercase())
         .collect();
-    eprintln!(
-        "usage:\n  renuca run     [--scheme {}]\n                 [--workload 1..10|101..105] [--warmup N] [--measure N]\n                 [--l2-128k] [--l3-1m] [--rob-168] [--no-prefetch]\n  renuca apps    [--measure N]\n  renuca schemes [--workload 1..10|101..105] [--warmup N] [--measure N]\n\nschemes ignore case and hyphens; workloads 101..104 are WB1..WB4, 105 is trickle",
-        schemes.join("|")
-    );
+    let names: Vec<&str> = FIGURES.iter().map(|(n, _)| *n).collect();
+    format!(
+        "usage:\n  renuca run     [--scheme {}]\n                 [--workload 1..10|101..105] [--warmup N] [--measure N]\n                 [--l2-128k] [--l3-1m] [--rob-168] [--no-prefetch]\n  renuca schemes [--workload 1..10|101..105] [--warmup N] [--measure N]\n  renuca figure  {} [--stats PATH]\n\nschemes ignore case and hyphens; workloads 101..104 are WB1..WB4, 105 is trickle;\nfigure budgets come from RENUCA_WARMUP / RENUCA_MEASURE",
+        schemes.join("|"),
+        names.join("|")
+    )
+}
+
+/// Print `error` and the usage text, then exit 2.
+fn usage_error(error: String) -> ! {
+    eprintln!("error: {error}\n{}", usage_text());
     std::process::exit(2)
 }
 
@@ -37,7 +53,7 @@ fn parse(args: &[String]) -> Result<Args, String> {
     let mut out = Args {
         scheme: Scheme::ReNuca,
         workload: 1,
-        budget: Budget::from_env(),
+        budget: Budget::from_env()?,
         cfg: SystemConfig::default(),
     };
     let mut it = args.iter();
@@ -75,11 +91,38 @@ fn parse(args: &[String]) -> Result<Args, String> {
     Ok(out)
 }
 
-/// [`parse`], printing the error and the usage text on failure.
-fn parse_or_exit(args: &[String]) -> Args {
-    parse(args).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        usage()
+struct FigureArgs {
+    name: String,
+    figure: Figure,
+    stats: Option<PathBuf>,
+    budget: Budget,
+}
+
+fn parse_figure(args: &[String]) -> Result<FigureArgs, String> {
+    let mut name = None;
+    let mut stats = None;
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        let path = match a.strip_prefix("--stats=") {
+            Some(p) => Some(p.to_string()),
+            None if a == "--stats" => Some(it.next().cloned().unwrap_or_default()),
+            None => None,
+        };
+        match path {
+            Some(p) if p.is_empty() => return Err("--stats requires a path".into()),
+            Some(p) => stats = Some(PathBuf::from(p)),
+            None if a.starts_with('-') => return Err(format!("unknown flag {a}")),
+            None if name.is_some() => return Err(format!("unexpected argument {a}")),
+            None => name = Some(a.clone()),
+        }
+    }
+    let name = name.ok_or("figure needs a name")?;
+    let figure = figures::find(&name).ok_or_else(|| format!("unknown figure {name}"))?;
+    Ok(FigureArgs {
+        name,
+        figure,
+        stats,
+        budget: Budget::from_env()?,
     })
 }
 
@@ -114,11 +157,11 @@ fn print_result(r: &SimResult) {
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = argv.split_first() else {
-        usage()
+        usage_error("missing command".into())
     };
     match cmd.as_str() {
         "run" => {
-            let a = parse_or_exit(rest);
+            let a = parse(rest).unwrap_or_else(|e| usage_error(e));
             println!(
                 "scheme={} workload={} warmup={} measure={}",
                 a.scheme,
@@ -135,23 +178,20 @@ fn main() {
                 );
             }
         }
-        "apps" => {
-            let a = parse_or_exit(rest);
-            let rows = renuca::experiments::figures::table2::run(a.budget);
-            println!(
-                "{}",
-                renuca::experiments::figures::table2::format_table2(&rows)
-            );
-        }
         "schemes" => {
-            let a = parse_or_exit(rest);
+            let a = parse(rest).unwrap_or_else(|e| usage_error(e));
             println!("workload {}:", workload_mix(a.workload, 1).name());
             for scheme in Scheme::ALL {
                 let r = run_one(scheme, a.workload, a.cfg, a.budget);
                 print_result(&r);
             }
         }
-        _ => usage(),
+        "figure" => {
+            let a = parse_figure(rest).unwrap_or_else(|e| usage_error(e));
+            let sink = a.stats.map_or_else(StatsSink::from_env, StatsSink::to);
+            a.figure.regenerate(&a.name, &sink, a.budget);
+        }
+        other => usage_error(format!("unknown command {other}")),
     }
 }
 
@@ -187,5 +227,46 @@ mod tests {
             assert!(parse(&args(&["--workload", id])).is_err(), "{id}");
         }
         assert!(parse(&args(&["--workload"])).is_err());
+    }
+
+    #[test]
+    fn every_figure_name_parses() {
+        for (name, _) in FIGURES {
+            let a = parse_figure(&args(&[name])).unwrap();
+            assert_eq!(a.name, name);
+            assert!(a.stats.is_none());
+            for stats in [&["--stats", "m.json"][..], &["--stats=m.json"]] {
+                let mut words = vec![name];
+                words.extend_from_slice(stats);
+                let a = parse_figure(&args(&words)).unwrap();
+                assert_eq!(a.stats, Some(PathBuf::from("m.json")), "{words:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn bad_figure_arguments_are_errors() {
+        for words in [
+            &[][..],
+            &["fig6"],
+            &["calibrate"],
+            &["FIG3"],
+            &["fig3", "fig4b"],
+            &["fig3", "--stat", "m.json"],
+            &["fig3", "--warmup", "5"],
+            &["fig3", "--stats"],
+            &["fig3", "--stats="],
+            &["--stats", "m.json"],
+        ] {
+            assert!(parse_figure(&args(words)).is_err(), "{words:?}");
+        }
+    }
+
+    #[test]
+    fn usage_lists_every_figure() {
+        let usage = usage_text();
+        for (name, _) in FIGURES {
+            assert!(usage.contains(name), "{name}");
+        }
     }
 }
