@@ -1,27 +1,29 @@
 //! The in-tree benchmark harness plus shared helpers for bench targets.
 //!
-//! Two kinds of bench targets live in `benches/`:
+//! Three bench targets live in `benches/`:
 //!
 //! * `micro` — micro-benchmarks of the hot substrate structures (cache
 //!   arrays, CPT, mesh routing, DRAM timing, full-system throughput), run
 //!   on the [`bench()`]/[`bench_with_setup`] harness below;
-//! * `figN_*` / `tableN_*` — custom-harness targets that regenerate the
-//!   corresponding paper figure/table and print the same rows/series, each
-//!   wrapped in [`timed`] so it also emits a machine-readable JSON timing
-//!   line. Run an individual one with
-//!   `cargo bench -p bench --bench fig12_renuca_wearout`, or everything
-//!   with `cargo bench --workspace`.
+//! * `campaign_overhead` — the campaign scheduler's per-job overhead, on
+//!   the same harness;
+//! * `wburst_saturation` — one WB3 run per scheme under bank pressure,
+//!   each wrapped in [`timed`] so it also emits a machine-readable JSON
+//!   timing line.
+//!
+//! Run one with `cargo bench -p bench --bench micro`. The paper's tables
+//! and figures are regenerated by `renuca figure <name>`, not here.
 //!
 //! The harness is deliberately small and dependency-free (the workspace is
 //! hermetic — no criterion): a warmup phase sizes an iteration batch, then
 //! timed samples of that batch yield per-iteration min/mean/median/p95
 //! nanoseconds, reported as one JSON line per benchmark via `sim-stats`'s
-//! emitter. Set `RENUCA_BENCH_SAMPLES` to change the sample count.
+//! emitter. Set `RENUCA_BENCH_SAMPLES` (an integer ≥ 2; default 30) to
+//! change the sample count.
 //!
-//! Figure targets default to a reduced instruction budget so a full
-//! `cargo bench --workspace` stays in the ~10-minute range on one CPU;
-//! export `RENUCA_MEASURE` / `RENUCA_WARMUP` (instructions per core) to
-//! regenerate at paper-quality budgets.
+//! `wburst_saturation` defaults to a reduced instruction budget
+//! ([`bench_budget`]); export `RENUCA_MEASURE` / `RENUCA_WARMUP`
+//! (instructions per core) to rescale it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +34,7 @@ use std::time::{Duration, Instant};
 use experiments::Budget;
 use sim_stats::JsonObject;
 
-/// The reduced default budget for figure bench targets (overridable via
+/// The reduced default budget for macro bench targets (overridable via
 /// `RENUCA_WARMUP` / `RENUCA_MEASURE`).
 pub fn bench_budget() -> Budget {
     Budget::from_env_or(Budget {
@@ -95,12 +97,25 @@ impl BenchReport {
     }
 }
 
+/// The sample count `RENUCA_BENCH_SAMPLES` asks for: 30 when unset or
+/// empty, else an integer ≥ 2.
+fn parse_samples(value: Option<&str>) -> Result<usize, String> {
+    match value {
+        None | Some("") => Ok(30),
+        Some(v) => v
+            .parse()
+            .ok()
+            .filter(|&n| n >= 2)
+            .ok_or_else(|| format!("RENUCA_BENCH_SAMPLES={v:?} is not an integer >= 2")),
+    }
+}
+
 fn n_samples() -> usize {
-    std::env::var("RENUCA_BENCH_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 2)
-        .unwrap_or(30)
+    let value = std::env::var("RENUCA_BENCH_SAMPLES").ok();
+    parse_samples(value.as_deref()).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
 /// Nearest-rank percentile of an ascending-sorted slice.
@@ -198,6 +213,18 @@ mod tests {
         let b = bench_budget();
         assert!(b.measure >= 20_000);
         assert!(b.warmup >= 10_000);
+    }
+
+    #[test]
+    fn sample_count_parses_or_errors() {
+        assert_eq!(parse_samples(None), Ok(30));
+        assert_eq!(parse_samples(Some("")), Ok(30));
+        assert_eq!(parse_samples(Some("2")), Ok(2));
+        assert_eq!(parse_samples(Some("100")), Ok(100));
+        for bad in ["abc", "1", "0", "-3", "2.5", " 5"] {
+            let err = parse_samples(Some(bad)).unwrap_err();
+            assert!(err.starts_with("RENUCA_BENCH_SAMPLES="), "{err}");
+        }
     }
 
     #[test]

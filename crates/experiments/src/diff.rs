@@ -19,15 +19,18 @@
 //! On a mismatch, [`shrink`] runs classic ddmin delta debugging to find a
 //! 1-minimal failing sub-trace, which [`write_shrunk_trace`] serializes in
 //! the `renuca-trace-v1` format (seed in the filename) for replay with
-//! `cargo run -p experiments --bin diffcheck -- --replay <file>`.
+//! `renuca diffcheck --replay <file>` ([`replay_file`]).
 //!
 //! [`mutation_check`] proves the harness has teeth, per scheme: the
 //! stateless schemes get a `MutantPolicy` wrapper that deliberately
-//! mis-places a subset of lines; the directory-backed competitors (WEC,
-//! Coloring, MAC) get internally-consistent bugged twins built into
-//! `renuca_core` (a skewed redirect target, an off-by-one epoch, an
-//! inverted replacement policy). In every case the harness must catch the
-//! injected bug and shrink it to a 1-minimal reproducer.
+//! mis-places a subset of lines; WEC, Coloring, MAC and Re-NUCA-C2 get
+//! internally-consistent bugged twins built into `renuca_core` (a skewed
+//! redirect target, an off-by-one epoch, an inverted replacement policy,
+//! an expansion on equal size classes). In every case the harness must catch
+//! the injected bug and shrink it to a 1-minimal reproducer.
+//!
+//! [`check`] runs the whole net — corpus, metamorphic invariants and
+//! mutation self-checks — for `renuca diffcheck`.
 //!
 //! The metamorphic checks ([`write_conservation`], [`snuca_shift_symmetry`],
 //! [`parallel_matches_serial`]) assert relations that must hold *across*
@@ -46,8 +49,8 @@ use cmp_sim::hierarchy::MemoryHierarchy;
 use cmp_sim::placement::{AccessMeta, CriticalityPredictor, LlcPlacement};
 use cmp_sim::types::{line_of, owner_of_line, page_of_line, BankId, Cycle};
 use golden::{
-    generate, trace_to_text, GoldenCpt, GoldenEvent, GoldenEventKind, GoldenPolicy, GoldenScheme,
-    GoldenSystem, TraceOp, TraceSpec,
+    generate, parse_trace, trace_to_text, GoldenCpt, GoldenEvent, GoldenEventKind, GoldenPolicy,
+    GoldenScheme, GoldenSystem, TraceOp, TraceSpec,
 };
 use renuca_core::{
     Coloring, Cpt, CptConfig, Mac, NaiveOracle, ReNuca, ReNucaC2, Scheme, Wec, COLORING_EPOCH,
@@ -1141,6 +1144,124 @@ pub fn parallel_matches_serial(seeds: &[u64], threads: usize, ops_n: usize) -> R
         }
     }
     Ok(())
+}
+
+// --- `renuca diffcheck` entry points ---------------------------------------
+
+/// Run the whole net and print one line per result: the corpus over
+/// `seeds` seeds of `ops` ops (divergences shrunk into `out_dir`), the
+/// metamorphic invariants, and the mutation self-check of every
+/// [`MUTATION_SCHEMES`] entry (reproducers in `out_dir`). Returns whether
+/// every check passed.
+pub fn check(seeds: u64, ops: usize, out_dir: &Path) -> bool {
+    let mut failed = false;
+
+    // 1. The differential corpus: seeds × schemes × configs.
+    let report = run_corpus(0..seeds, ops, out_dir);
+    println!(
+        "corpus: {} replays ({} ops cross-checked), {} mismatch(es)",
+        report.replays,
+        report.ops_checked,
+        report.failures.len()
+    );
+    for f in &report.failures {
+        failed = true;
+        println!(
+            "  MISMATCH {} / {} / seed {}: {} (shrunk to {} ops{})",
+            f.scheme.name(),
+            f.config,
+            f.seed,
+            f.mismatch,
+            f.minimal_len,
+            f.trace_path
+                .as_deref()
+                .map(|p| format!(", written to {}", p.display()))
+                .unwrap_or_default()
+        );
+    }
+
+    // 2. Metamorphic invariants.
+    let checks: [(&str, Result<(), String>); 4] = [
+        (
+            "write conservation (2x2)",
+            write_conservation(2, 2, 1, ops.min(2000)),
+        ),
+        (
+            "write conservation (3x2)",
+            write_conservation(3, 2, 2, ops.min(2000)),
+        ),
+        (
+            "S-NUCA shift symmetry",
+            snuca_shift_symmetry(2, 2, 3, ops.min(2000)),
+        ),
+        (
+            "serial == parallel",
+            parallel_matches_serial(&[5, 6, 7, 8], 4, ops.min(1500)),
+        ),
+    ];
+    for (name, result) in checks {
+        match result {
+            Ok(()) => println!("metamorphic: {name}: ok"),
+            Err(e) => {
+                failed = true;
+                println!("metamorphic: {name}: FAILED — {e}");
+            }
+        }
+    }
+
+    // 3. Mutation self-checks: the harness must catch an injected bug in
+    // every scheme that ships one (wrapped mutant + bugged twins).
+    for scheme in MUTATION_SCHEMES {
+        match mutation_check(scheme, 42, ops.min(3000), out_dir) {
+            Ok(m) => println!(
+                "mutation check [{}]: caught ({}), shrunk {} -> {} ops, reproducer {}",
+                scheme.name(),
+                m.detail,
+                m.original_len,
+                m.minimal_len,
+                m.trace_path.display()
+            ),
+            Err(e) => {
+                failed = true;
+                println!("mutation check [{}]: FAILED — {e}", scheme.name());
+            }
+        }
+    }
+    !failed
+}
+
+/// Re-run a shrunk `renuca-trace-v1` file, with the scheme's injected bug
+/// when `mutant` is set (mutation reproducers only diverge under it). An
+/// unreadable file and a reproduced divergence are errors.
+pub fn replay_file(path: &Path, mutant: bool) -> Result<(), String> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+    let (scheme_name, cols, rows, seed, ops) = parse_trace(&text)
+        .ok_or_else(|| format!("{} is not a renuca-trace-v1 file", path.display()))?;
+    let scheme = Scheme::from_name(&scheme_name)
+        .ok_or_else(|| format!("unknown scheme {scheme_name:?} in trace header"))?;
+    let cfg = tiny_cfg(cols, rows);
+    println!(
+        "replaying {} ops: scheme {} on {cols}x{rows}, seed {seed}{}",
+        ops.len(),
+        scheme.name(),
+        if mutant { " (mutant injected)" } else { "" }
+    );
+    let result = if mutant {
+        replay_mutated(scheme, &cfg, &ops)
+    } else {
+        replay(scheme, &cfg, &ops)
+    };
+    match result {
+        Ok(report) => {
+            println!(
+                "no divergence: {} fills, {} L3 writes, histogram {:?}",
+                report.l3_fills, report.l3_writes, report.bank_totals
+            );
+            Ok(())
+        }
+        Err(m) => Err(format!("divergence reproduced — {m}")),
+    }
 }
 
 #[cfg(test)]

@@ -1,18 +1,22 @@
 //! One module per paper table/figure. See the crate docs for the index.
 //!
 //! [`FIGURES`] is the name → study table behind `renuca figure <name>`:
-//! every paper artifact the harness regenerates, with the study that feeds
-//! it. Names rendered from one study share one [`Figure`] variant, so the
-//! study runs once per invocation however it is rendered.
+//! every paper artifact and extension study the harness regenerates, with
+//! the study that feeds it. Names rendered from one study share one
+//! [`Figure`] variant, so the study runs once per invocation however it is
+//! rendered.
 
 pub mod ablations;
 pub mod capacity;
 pub mod criticality;
+pub mod forecast;
+pub mod headtohead;
 pub mod lifetime;
 pub mod predictor_study;
 pub mod sensitivity;
 pub mod table2;
 pub mod table3;
+pub mod wburst;
 
 use std::time::Instant;
 
@@ -49,11 +53,18 @@ pub enum Figure {
     /// Every table and figure in one run, sharing studies; also writes the
     /// raw study data to `results.json` in the working directory.
     All,
+    /// Re-NUCA vs the wear-management competitors (DESIGN.md §14).
+    HeadToHead,
+    /// Every scheme under the WB1–WB4 write bursts (DESIGN.md §12).
+    WriteBurst,
+    /// The L2C2 lifetime forecast vs simulation, gated on
+    /// `compress::FORECAST_TOLERANCE` (DESIGN.md §15).
+    Forecast,
 }
 
 /// Every artifact `renuca figure <name>` regenerates, in usage order. The
 /// name is also the manifest's `binary` key.
-pub const FIGURES: [(&str, Figure); 20] = [
+pub const FIGURES: [(&str, Figure); 23] = [
     ("fig2", Figure::Apps(table2::format_fig2)),
     ("fig3", Figure::Main(lifetime::format_fig3)),
     ("fig4b", Figure::Main(lifetime::format_fig4b)),
@@ -74,6 +85,9 @@ pub const FIGURES: [(&str, Figure); 20] = [
     ("capacity", Figure::Main(capacity_retention)),
     ("ablations", Figure::Ablations),
     ("all", Figure::All),
+    ("headtohead", Figure::HeadToHead),
+    ("wburst", Figure::WriteBurst),
+    ("forecast", Figure::Forecast),
 ];
 
 /// The [`FIGURES`] entry named `name`.
@@ -103,8 +117,10 @@ fn capacity_retention(study: &MainStudy) -> String {
 
 impl Figure {
     /// Run the study at `budget`, print the figure text to stdout and write
-    /// the run manifest (`"binary": name`) through `sink`.
-    pub fn regenerate(self, name: &str, sink: &StatsSink, budget: Budget) {
+    /// the run manifest (`"binary": name`) through `sink`. Only the
+    /// forecast gate fails, after its text and manifest are out.
+    pub fn regenerate(self, name: &str, sink: &StatsSink, budget: Budget) -> Result<(), String> {
+        let cfg = SystemConfig::default();
         match self {
             Figure::Apps(render) => {
                 let rows = table2::run(budget);
@@ -130,7 +146,6 @@ impl Figure {
                 });
             }
             Figure::Main(render) => {
-                let cfg = SystemConfig::default();
                 let study = lifetime::run("Actual Results", cfg, budget);
                 println!("{}", render(&study));
                 obs::emit_study_manifest(sink, name, Some(&cfg), budget, &study);
@@ -156,7 +171,30 @@ impl Figure {
                 });
             }
             Figure::All => regenerate_all(name, sink, budget),
+            Figure::HeadToHead => {
+                let rows = headtohead::run(cfg, budget);
+                println!("{}", headtohead::format_headtohead(&rows));
+                sink.emit_with(name, "Head-to-head", Some(&cfg), budget, |m| {
+                    headtohead::register(m, &rows)
+                });
+            }
+            Figure::WriteBurst => {
+                let cells = wburst::run(cfg, budget);
+                println!("{}", wburst::format_wburst(&cells));
+                sink.emit_with(name, "Write-burst saturation", Some(&cfg), budget, |m| {
+                    wburst::register(m, &cells, cfg.n_banks)
+                });
+            }
+            Figure::Forecast => {
+                let study = forecast::run(cfg, budget);
+                println!("{}", forecast::format_forecast(&study));
+                sink.emit_with(name, "Forecast vs simulation", Some(&cfg), budget, |m| {
+                    forecast::register(m, &study)
+                });
+                return forecast::check(&study);
+            }
         }
+        Ok(())
     }
 }
 

@@ -18,7 +18,7 @@
 //! That timing effect is surfaced separately as [`ForecastRow::slowdown`]
 //! rather than being allowed to contaminate the wear cross-check.
 //!
-//! The `forecast` binary sweeps WL1–WL10 and WB1–WB4 and **fails** (exit 1)
+//! `renuca figure forecast` sweeps WL1–WL10 and WB1–WB4 and **fails** (exit 1)
 //! when any workload's error exceeds [`compress::FORECAST_TOLERANCE`]; the
 //! CI forecast smoke runs the same gate at a reduced budget. Together with
 //! the golden-model differential check this gives the compression subsystem
@@ -86,8 +86,8 @@ impl ForecastStudy {
         self.rows.iter().map(|r| r.rel_err).fold(0.0, f64::max)
     }
 
-    /// Whether every workload is inside the tolerance — the gate the
-    /// `forecast` binary and the CI smoke enforce.
+    /// Whether every workload is inside the tolerance — what
+    /// `renuca figure forecast` and the CI smoke enforce.
     pub fn all_within_tolerance(&self) -> bool {
         self.rows.iter().all(|r| r.rel_err <= self.tolerance)
     }

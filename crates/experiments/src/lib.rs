@@ -5,8 +5,7 @@
 //! budget to a typed result struct, plus a formatter that prints the same
 //! rows/series the paper plots. [`figures::FIGURES`] maps each artifact
 //! name to its study; the root crate's `renuca figure <name>` dispatches
-//! through it, and the bench targets in the `bench` crate are thin
-//! wrappers.
+//! through it, and `renuca diffcheck` drives [`diff`].
 //!
 //! | paper artifact | module | `renuca figure` name |
 //! |---|---|---|
@@ -24,6 +23,9 @@
 //! | capacity-retention curves | [`figures::capacity`] | `capacity` |
 //! | the six ablations | [`figures::ablations`] | `ablations` |
 //! | everything above, sharing studies | [`figures`] | `all` |
+//! | head-to-head vs WEC / Coloring / MAC | [`figures::headtohead`] | `headtohead` |
+//! | write-burst saturation | [`figures::wburst`] | `wburst` |
+//! | compression forecast vs simulation | [`figures::forecast`], [`forecast`] | `forecast` |
 //!
 //! Instruction budgets scale with the environment variables
 //! `RENUCA_MEASURE` and `RENUCA_WARMUP` (instructions per core; a value
@@ -31,11 +33,11 @@
 //! regeneration tractable on one CPU while the statistical workload
 //! models stay in their converged steady state.
 //!
-//! Every figure run and the `forecast`, `headtohead` and `wburst`
-//! binaries in `src/bin/` additionally accept `--stats <path>` (or the `RENUCA_STATS` environment variable) and then
-//! writes a JSON *run manifest* — config echo, stats-registry snapshot,
-//! per-bank wear heatmap — through the shared [`obs`] helper; the schema
-//! is documented in `EXPERIMENTS.md`.
+//! Every figure run additionally accepts `--stats <path>` (or the
+//! `RENUCA_STATS` environment variable) and then writes a JSON *run
+//! manifest* — config echo, stats-registry snapshot, per-bank wear
+//! heatmap — through the shared [`obs`] helper; the schema is documented
+//! in `EXPERIMENTS.md`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,7 +1,6 @@
 //! Shared observability plumbing for the experiment front ends.
 //!
-//! `renuca figure <name>` and the study binaries in `src/bin/` accept a
-//! common `--stats <path>` flag (or the `RENUCA_STATS` environment
+//! `renuca figure <name>` accepts a `--stats <path>` flag (or the `RENUCA_STATS` environment
 //! variable) and, when it is given, write a *run manifest* next to the
 //! normal stdout output: a single JSON document that echoes the
 //! configuration, the instruction budget, a full [`StatsRegistry`]
@@ -76,27 +75,11 @@ pub fn atomic_write(path: &Path, contents: &[u8]) -> std::io::Result<()> {
     result
 }
 
-/// Shared startup for the study binaries: resolve the manifest
-/// destination (`--stats <path>` / `--stats=<path>` / `RENUCA_STATS`) and
-/// the instruction budget (`RENUCA_WARMUP` / `RENUCA_MEASURE`) in one
-/// call. A malformed budget variable prints an `error:` line and exits 2.
-/// The campaign runner resolves the same pair per job — with
-/// [`StatsSink::to`] instead of the command line — so every job manifest
-/// goes through exactly this machinery.
-pub fn standard_args() -> (StatsSink, Budget) {
-    let sink = StatsSink::from_env_args();
-    let budget = Budget::from_env().unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2)
-    });
-    (sink, budget)
-}
-
 /// Where (if anywhere) a binary should write its run manifest.
 ///
-/// Resolved once at startup from the command line and environment (by
-/// [`StatsSink::from_env_args`] in the study binaries, from `renuca
-/// figure`'s own flags otherwise); every run routes its manifest through
+/// Resolved once at startup from `renuca figure`'s `--stats` flag or the
+/// environment ([`StatsSink::from_env`]), and per job by the campaign
+/// runner ([`StatsSink::to`]); every run routes its manifest through
 /// [`StatsSink::emit_with`].
 #[derive(Clone, Debug, Default)]
 pub struct StatsSink {
@@ -104,25 +87,6 @@ pub struct StatsSink {
 }
 
 impl StatsSink {
-    /// Resolve the manifest destination: `--stats <path>` or `--stats=<path>`
-    /// on the command line wins, else the `RENUCA_STATS` environment
-    /// variable, else no destination (manifest emission disabled).
-    pub fn from_env_args() -> Self {
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            if let Some(p) = a.strip_prefix("--stats=") {
-                return StatsSink::to(p);
-            } else if a == "--stats" {
-                let Some(p) = args.next() else {
-                    eprintln!("error: --stats requires a path argument");
-                    std::process::exit(2);
-                };
-                return StatsSink::to(p);
-            }
-        }
-        Self::from_env()
-    }
-
     /// The `RENUCA_STATS` destination, or a disabled sink when it is unset
     /// or empty.
     pub fn from_env() -> Self {
@@ -209,12 +173,6 @@ impl Manifest {
     /// Mutable access to the stats registry (dotted-path keys).
     pub fn stats_mut(&mut self) -> &mut StatsRegistry {
         &mut self.stats
-    }
-
-    /// Replace the stats registry wholesale (used when a full
-    /// `SimResult::registry()` snapshot is available).
-    pub fn set_stats(&mut self, reg: StatsRegistry) {
-        self.stats = reg;
     }
 
     /// Set the unit tag of the wear heatmap (default `"years"`).

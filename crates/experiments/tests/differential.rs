@@ -2,9 +2,9 @@
 //! metamorphic invariants, and the mutation self-check (an injected
 //! placement bug must be caught and shrunk to a 1-minimal trace).
 //!
-//! The full acceptance sweep (100 seeds × 8 schemes × 2 configs = 1600
-//! traces) runs through `cargo run --release -p experiments --bin
-//! diffcheck`; these tests keep a smaller always-on corpus in `cargo test`.
+//! The full acceptance sweep (100 seeds × 9 schemes × 2 configs = 1800
+//! traces) runs through `renuca diffcheck`; these tests keep a smaller
+//! always-on corpus in `cargo test`.
 
 use std::path::PathBuf;
 

@@ -21,7 +21,7 @@ echo "== differential smoke: bounded seeded corpus vs the golden model =="
 # (see TESTING.md), plus the per-scheme mutation self-checks. diffcheck
 # exits non-zero on any divergence and writes the ddmin-shrunk
 # reproducer under out/.
-./target/release/diffcheck --quick --out out
+./target/release/renuca diffcheck --quick --out out
 
 echo "== examples =="
 cargo build --examples
@@ -44,22 +44,16 @@ if ! grep -qE '^\{"schema":"renuca-manifest-v1","binary":"fig3","label":"[^"]+",
 fi
 echo "manifest smoke OK ($(wc -c < "$MANIFEST") bytes)"
 
-echo "== bank-queue smoke: write bursts queue, the trickle probe does not =="
+echo "== bank-queue smoke: write bursts queue =="
 # Under the asymmetric ReRAM default, the WB saturation study must observe
-# bank contention (nonzero read-side queue cycles somewhere in the grid),
-# while the single-core trickle probe — which never reads the L3 data
-# array — must report exactly zero. Both invariants live in DESIGN.md §12.
+# bank contention (nonzero read-side queue cycles somewhere in the grid).
+# The other half of the invariant — the single-core trickle probe, which
+# never reads the L3 data array, reports exactly zero — is the tier-1
+# test tests/bank_queue.rs. Both live in DESIGN.md §12.
 RENUCA_WARMUP=2000 RENUCA_MEASURE=8000 \
-    ./target/release/wburst --stats "$MANIFEST" >/dev/null 2>&1
+    ./target/release/renuca figure wburst --stats "$MANIFEST" >/dev/null 2>&1
 if ! grep -qE '"llc\.queue_cycles_total":[1-9][0-9]*' "$MANIFEST"; then
     echo "bank-queue smoke FAILED: wburst saw no queueing under asymmetric default"
-    head -c 400 "$MANIFEST"; echo
-    exit 1
-fi
-RENUCA_WARMUP=2000 RENUCA_MEASURE=8000 \
-    ./target/release/wburst --trickle --stats "$MANIFEST" >/dev/null 2>&1
-if ! grep -qE '"llc\.queue_cycles_total":0[,}]' "$MANIFEST"; then
-    echo "bank-queue smoke FAILED: trickle probe reported nonzero queue cycles"
     head -c 400 "$MANIFEST"; echo
     exit 1
 fi
@@ -67,13 +61,13 @@ echo "bank-queue smoke OK"
 
 echo "== forecast smoke: closed-form lifetime forecast within tolerance =="
 # The L2C2 analytical forecast must describe the simulated compressed
-# cache on every WL/WB workload: the forecast binary itself exits
+# cache on every WL/WB workload: `renuca figure forecast` itself exits
 # non-zero when any workload's iso-timing error on the lifetime
 # aggregates exceeds compress::FORECAST_TOLERANCE (DESIGN.md §15). The
 # committed full-budget numbers live in docs/forecast.report.json; this
 # runs the same hard gate at a CI-sized budget.
 RENUCA_WARMUP=5000 RENUCA_MEASURE=60000 \
-    ./target/release/forecast --stats "$MANIFEST" >/dev/null
+    ./target/release/renuca figure forecast --stats "$MANIFEST" >/dev/null
 if ! grep -q '"forecast.max_rel_err"' "$MANIFEST"; then
     echo "forecast smoke FAILED: manifest carries no forecast.max_rel_err"
     head -c 400 "$MANIFEST"; echo
@@ -183,12 +177,13 @@ if ! grep -q '"binary":"fig12"' "$FIG_TMP/out/fig12.json"; then
 fi
 echo "figure quickstart OK"
 
-echo "== docs gate: no command names a removed figure binary =="
-# Every shell script and nested Markdown file, plus the root documents
-# that give commands; the root change log and planning notes are history.
-if git grep -nE -- '--bin (fig[0-9]|table[23]|capacity|ablations|all|calibrate)\b|target/release/(fig[0-9]|table[23]|calibrate)' \
-    -- README.md DESIGN.md EXPERIMENTS.md TESTING.md '*/*.md' '*.sh'; then
-    echo "docs gate FAILED: the lines above name a removed binary (use 'renuca figure <name>')"
+echo "== docs gate: no command names a removed binary or bench target =="
+# Every shell script, campaign spec and nested Markdown file, plus the
+# root documents that give commands; the root change log and planning
+# notes are history. The bench pattern names every deleted figure bench.
+if git grep -nE -- '--bin (fig[0-9]|table[23]|capacity|ablations|all|calibrate|diffcheck|forecast|headtohead|wburst)\b|target/release/(fig[0-9]|table[23]|calibrate|diffcheck|forecast|headtohead|wburst)\b|--bench (fig[0-9]|table[23]|ablations|capacity_retention)' \
+    -- README.md DESIGN.md EXPERIMENTS.md TESTING.md '*/*.md' '*.sh' '*.campaign'; then
+    echo "docs gate FAILED: the lines above name a removed binary or bench target (use 'renuca figure <name>' / 'renuca diffcheck')"
     exit 1
 fi
 echo "docs gate OK"

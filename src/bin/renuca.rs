@@ -4,19 +4,32 @@
 //! renuca run     [--scheme S] [--workload N] [--warmup I] [--measure I]
 //!                [--l2-128k] [--l3-1m] [--rob-168] [--no-prefetch]
 //! renuca schemes [--workload N] ...   # compare all nine schemes on one mix
-//! renuca figure  <name> [--stats P]   # regenerate one paper table/figure
+//! renuca figure  <name> [--stats P]   # regenerate one table, figure or study
+//! renuca diffcheck [--seeds N] [--ops N] [--out DIR] [--quick]
+//! renuca diffcheck --replay FILE [--mutant]
 //! ```
 //!
 //! `figure` takes any name of `experiments::figures::FIGURES` (`fig3`,
-//! `table3`, `all`, …), reads its budget from `RENUCA_WARMUP` /
-//! `RENUCA_MEASURE` and writes a run manifest to `--stats <path>` (or
-//! `RENUCA_STATS`) whose `binary` key is the figure name.
+//! `table3`, `all`, `headtohead`, `wburst`, `forecast`, …), reads its
+//! budget from `RENUCA_WARMUP` / `RENUCA_MEASURE` and writes a run
+//! manifest to `--stats <path>` (or `RENUCA_STATS`) whose `binary` key is
+//! the figure name. `figure forecast` exits 1 when the forecast is outside
+//! its tolerance.
+//!
+//! `diffcheck` replays seeded traces through the real simulator and the
+//! golden model (`experiments::diff`, TESTING.md): by default the
+//! 1800-trace acceptance corpus, the metamorphic invariants and the
+//! per-scheme mutation self-checks, writing shrunk reproducers under
+//! `--out` (default `out`); `--quick` is the bounded smoke. `--replay`
+//! re-runs one reproducer, `--mutant` with its injected bug. Any failed
+//! check exits 1.
 //!
 //! A thin, dependency-free argument parser: this binary exists so users can
 //! poke at configurations without writing Rust.
 
 use std::path::PathBuf;
 
+use renuca::experiments::diff;
 use renuca::experiments::figures::{self, Figure, FIGURES};
 use renuca::experiments::StatsSink;
 use renuca::prelude::*;
@@ -30,7 +43,7 @@ fn usage_text() -> String {
         .collect();
     let names: Vec<&str> = FIGURES.iter().map(|(n, _)| *n).collect();
     format!(
-        "usage:\n  renuca run     [--scheme {}]\n                 [--workload 1..10|101..105] [--warmup N] [--measure N]\n                 [--l2-128k] [--l3-1m] [--rob-168] [--no-prefetch]\n  renuca schemes [--workload 1..10|101..105] [--warmup N] [--measure N]\n  renuca figure  {} [--stats PATH]\n\nschemes ignore case and hyphens; workloads 101..104 are WB1..WB4, 105 is trickle;\nfigure budgets come from RENUCA_WARMUP / RENUCA_MEASURE",
+        "usage:\n  renuca run     [--scheme {}]\n                 [--workload 1..10|101..105] [--warmup N] [--measure N]\n                 [--l2-128k] [--l3-1m] [--rob-168] [--no-prefetch]\n  renuca schemes [--workload 1..10|101..105] [--warmup N] [--measure N]\n  renuca figure  {} [--stats PATH]\n  renuca diffcheck [--seeds N] [--ops N] [--out DIR] [--quick]\n  renuca diffcheck --replay FILE [--mutant]\n\nschemes ignore case and hyphens; workloads 101..104 are WB1..WB4, 105 is trickle;\nfigure budgets come from RENUCA_WARMUP / RENUCA_MEASURE",
         schemes.join("|"),
         names.join("|")
     )
@@ -126,6 +139,69 @@ fn parse_figure(args: &[String]) -> Result<FigureArgs, String> {
     })
 }
 
+struct DiffArgs {
+    seeds: u64,
+    ops: usize,
+    out: PathBuf,
+    replay: Option<PathBuf>,
+    mutant: bool,
+}
+
+fn parse_diffcheck(args: &[String]) -> Result<DiffArgs, String> {
+    let mut out = DiffArgs {
+        seeds: 100,
+        ops: 4000,
+        out: PathBuf::from("out"),
+        replay: None,
+        mutant: false,
+    };
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        let mut value = |name: &str| -> Result<String, String> {
+            it.next()
+                .cloned()
+                .ok_or_else(|| format!("missing value for {name}"))
+        };
+        match a.as_str() {
+            "--seeds" => {
+                let v = value("--seeds")?;
+                out.seeds = v.parse().map_err(|_| format!("bad --seeds {v:?}"))?;
+            }
+            "--ops" => {
+                let v = value("--ops")?;
+                out.ops = v.parse().map_err(|_| format!("bad --ops {v:?}"))?;
+            }
+            "--out" => out.out = PathBuf::from(value("--out")?),
+            "--quick" => {
+                out.seeds = 3;
+                out.ops = 2000;
+            }
+            "--replay" => out.replay = Some(PathBuf::from(value("--replay")?)),
+            "--mutant" => out.mutant = true,
+            other => return Err(format!("unknown flag {other}")),
+        }
+    }
+    Ok(out)
+}
+
+fn diffcheck(a: &DiffArgs) -> std::process::ExitCode {
+    let result = match &a.replay {
+        Some(path) => diff::replay_file(path, a.mutant),
+        None if diff::check(a.seeds, a.ops, &a.out) => {
+            println!("diffcheck: all checks passed");
+            Ok(())
+        }
+        None => Err("FAILED".into()),
+    };
+    match result {
+        Ok(()) => std::process::ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("diffcheck: {e}");
+            std::process::ExitCode::FAILURE
+        }
+    }
+}
+
 fn run_one(scheme: Scheme, workload: usize, cfg: SystemConfig, budget: Budget) -> SimResult {
     let wl = workload_mix(workload, cfg.n_cores);
     let mut sys = System::new(
@@ -154,7 +230,7 @@ fn print_result(r: &SimResult) {
     );
 }
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = argv.split_first() else {
         usage_error("missing command".into())
@@ -189,10 +265,18 @@ fn main() {
         "figure" => {
             let a = parse_figure(rest).unwrap_or_else(|e| usage_error(e));
             let sink = a.stats.map_or_else(StatsSink::from_env, StatsSink::to);
-            a.figure.regenerate(&a.name, &sink, a.budget);
+            if let Err(e) = a.figure.regenerate(&a.name, &sink, a.budget) {
+                eprintln!("error: {e}");
+                return std::process::ExitCode::FAILURE;
+            }
+        }
+        "diffcheck" => {
+            let a = parse_diffcheck(rest).unwrap_or_else(|e| usage_error(e));
+            return diffcheck(&a);
         }
         other => usage_error(format!("unknown command {other}")),
     }
+    std::process::ExitCode::SUCCESS
 }
 
 #[cfg(test)]
@@ -257,8 +341,40 @@ mod tests {
             &["fig3", "--stats"],
             &["fig3", "--stats="],
             &["--stats", "m.json"],
+            &["headtohead", "--stat", "h.json"],
+            &["wburst", "--trickle"],
+            &["forecast", "--stats"],
         ] {
             assert!(parse_figure(&args(words)).is_err(), "{words:?}");
+        }
+    }
+
+    #[test]
+    fn diffcheck_flags_parse() {
+        let a = parse_diffcheck(&[]).unwrap();
+        assert_eq!((a.seeds, a.ops, a.out.clone()), (100, 4000, "out".into()));
+        assert!(a.replay.is_none() && !a.mutant);
+        let a = parse_diffcheck(&args(&["--quick", "--out", "o"])).unwrap();
+        assert_eq!((a.seeds, a.ops, a.out), (3, 2000, "o".into()));
+        let a = parse_diffcheck(&args(&["--seeds", "7", "--ops", "9"])).unwrap();
+        assert_eq!((a.seeds, a.ops), (7, 9));
+        let a = parse_diffcheck(&args(&["--replay", "t.trace", "--mutant"])).unwrap();
+        assert_eq!(a.replay, Some(PathBuf::from("t.trace")));
+        assert!(a.mutant);
+    }
+
+    #[test]
+    fn bad_diffcheck_arguments_are_errors() {
+        let err = parse_diffcheck(&args(&["--seeds", "x"])).err().unwrap();
+        assert!(err.contains("--seeds"), "{err}");
+        for words in [
+            &["--seed", "3"][..],
+            &["--replay"],
+            &["--ops"],
+            &["--ops", "-1"],
+            &["quick"],
+        ] {
+            assert!(parse_diffcheck(&args(words)).is_err(), "{words:?}");
         }
     }
 

@@ -85,7 +85,12 @@ fn malformed_budget_variable_exits_2() {
 /// running a study.
 #[test]
 fn unknown_figure_or_flag_exits_2() {
-    for args in [&["fig6"][..], &["fig3", "--stat", "m.json"]] {
+    for args in [
+        &["fig6"][..],
+        &["fig3", "--stat", "m.json"],
+        &["headtohead", "--stat", "h.json"],
+        &["wburst", "--trickle"],
+    ] {
         let output = renuca_figure(args, &[]);
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
