@@ -107,6 +107,23 @@ impl DramConfig {
     pub fn total_banks(&self) -> usize {
         self.channels * self.ranks * self.banks_per_rank
     }
+
+    /// The address decomposition's rule, shared by [`SystemConfig::check`]
+    /// and `Dram::new`: channels, banks per channel and lines per row are
+    /// selected by bit masks, so each must be a non-zero power of two.
+    pub fn check(&self) -> Result<(), String> {
+        let banks = self.ranks.checked_mul(self.banks_per_rank).unwrap_or(0);
+        let field = if !self.channels.is_power_of_two() {
+            "dram.channels"
+        } else if !banks.is_power_of_two() {
+            "dram.ranks * dram.banks_per_rank"
+        } else if !(self.row_bytes / LINE_BYTES).is_power_of_two() {
+            "dram.row_bytes / the line size"
+        } else {
+            return Ok(());
+        };
+        Err(format!("{field} must be a power of two in {self:?}"))
+    }
 }
 
 impl Default for DramConfig {
@@ -506,9 +523,17 @@ impl SystemConfig {
             "mesh must have one tile per core",
         )?;
         rule(
+            self.freq_hz.is_finite() && self.freq_hz > 0.0,
+            &format!("freq_hz = {} must be positive and finite", self.freq_hz),
+        )?;
+        rule(self.fetch_width > 0, "fetch_width must be at least 1")?;
+        rule(self.commit_width > 0, "commit_width must be at least 1")?;
+        rule(self.mshrs_per_core > 0, "mshrs_per_core must be at least 1")?;
+        rule(
             self.rob_entries >= self.fetch_width,
             "rob_entries must be at least fetch_width",
         )?;
+        self.dram.check()?;
         // Bank counts need not be powers of two: every bank-selection path
         // (S-NUCA striping, owner decoding, DRAM channel hashing) either
         // masks behind a pow2 check or falls back to modulo.
@@ -691,20 +716,47 @@ mod tests {
 
     #[test]
     fn check_reports_bad_fields_without_panicking() {
-        let bad: [fn(&mut SystemConfig); 6] = [
-            |c| c.rob_entries = 0,
-            |c| c.l2.size_bytes = 1000,
-            |c| c.l1.assoc = 0,
-            |c| c.tlb_assoc = 0,
-            |c| (c.noc.cols, c.noc.rows) = (usize::MAX, usize::MAX),
-            |c| c.n_banks = 0,
+        // Each case names the field its message must mention. Nothing
+        // downstream accepts the DRAM, width, MSHR or clock cases: `Dram::new`
+        // panics, a zero width livelocks, zero MSHRs retire nothing and the
+        // lifetime model divides by the clock.
+        let bad: [(_, fn(&mut SystemConfig)); 21] = [
+            ("rob_entries", |c| c.rob_entries = 0),
+            ("l2", |c| c.l2.size_bytes = 1000),
+            ("l1", |c| c.l1.assoc = 0),
+            ("tlb_assoc", |c| c.tlb_assoc = 0),
+            ("mesh", |c| {
+                (c.noc.cols, c.noc.rows) = (usize::MAX, usize::MAX)
+            }),
+            ("bank", |c| c.n_banks = 0),
+            ("dram.channels", |c| c.dram.channels = 0),
+            ("dram.channels", |c| c.dram.channels = 3),
+            ("dram.ranks", |c| c.dram.ranks = 0),
+            ("dram.banks_per_rank", |c| c.dram.banks_per_rank = 0),
+            ("dram.ranks", |c| c.dram.ranks = 3),
+            ("dram.ranks", |c| c.dram.ranks = usize::MAX),
+            ("dram.row_bytes", |c| c.dram.row_bytes = 0),
+            ("fetch_width", |c| c.fetch_width = 0),
+            ("commit_width", |c| c.commit_width = 0),
+            ("mshrs_per_core", |c| c.mshrs_per_core = 0),
+            ("freq_hz", |c| c.freq_hz = 0.0),
+            ("freq_hz", |c| c.freq_hz = -2.4e9),
+            ("freq_hz", |c| c.freq_hz = f64::NAN),
+            ("freq_hz", |c| c.freq_hz = f64::INFINITY),
+            ("freq_hz", |c| c.freq_hz = f64::NEG_INFINITY),
         ];
-        for (i, f) in bad.iter().enumerate() {
-            let mut c = SystemConfig::default();
-            f(&mut c);
-            assert!(c.check().is_err(), "case {i} accepted");
+        for (i, (field, f)) in bad.iter().enumerate() {
+            for base in [SystemConfig::default(), SystemConfig::small(4)] {
+                let mut c = base;
+                f(&mut c);
+                match c.check() {
+                    Ok(()) => panic!("case {i} ({field}) accepted"),
+                    Err(e) => assert!(e.contains(field), "case {i}: {e:?} does not name {field}"),
+                }
+            }
         }
         assert_eq!(SystemConfig::default().check(), Ok(()));
+        assert_eq!(SystemConfig::small(4).check(), Ok(()));
     }
 
     #[test]

@@ -100,17 +100,13 @@ impl Dram {
     /// Build the memory system.
     ///
     /// # Panics
-    /// Panics unless channel count and banks-per-channel are powers of two
-    /// (the address decomposition uses masks).
+    /// Panics with [`DramConfig::check`]'s message unless channel count,
+    /// banks per channel and lines per row are powers of two (the address
+    /// decomposition uses masks).
     pub fn new(cfg: DramConfig) -> Self {
+        cfg.check().unwrap_or_else(|e| panic!("{e}"));
         let banks_per_channel = cfg.ranks * cfg.banks_per_rank;
-        assert!(cfg.channels.is_power_of_two(), "channels must be pow2");
-        assert!(
-            banks_per_channel.is_power_of_two(),
-            "ranks*banks_per_rank must be pow2"
-        );
         let lines_per_row = cfg.row_bytes / crate::types::LINE_BYTES;
-        assert!(lines_per_row.is_power_of_two() && lines_per_row > 0);
         Dram {
             banks: vec![BankState::default(); cfg.channels * banks_per_channel],
             bus: vec![Calendar::new(); cfg.channels],

@@ -89,8 +89,9 @@ pub trait LlcPlacement {
     }
 
     /// Victim-selection policy of the L3 banks this placement drives. The
-    /// hierarchy queries this once at construction; replacement-policy
-    /// schemes (MAC) override it while placement-only schemes keep the
+    /// hierarchy queries this once at construction; a scheme with
+    /// write-aware replacement (MAC) answers it through the `renuca-core`
+    /// carrier that wraps its placement, while plain placements keep the
     /// default true LRU. This keeps replacement a property of the scheme —
     /// no `SystemConfig` knob, no manifest churn.
     fn l3_replacement(&self) -> ReplacementKind {
@@ -113,7 +114,8 @@ pub trait LlcPlacement {
     /// inspectable internal state (Re-NUCA's Mapping Bit Vectors, the Naive
     /// oracle's directory and write counters) return `Some(self)` so the
     /// differential harness can downcast and compare that state against a
-    /// reference model after a run. Stateless policies keep the default.
+    /// reference model after a run. Stateless policies keep the default,
+    /// and wrappers forward their inner policy's answer.
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         None
     }

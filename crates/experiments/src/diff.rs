@@ -23,10 +23,11 @@
 //!
 //! [`mutation_check`] proves the harness has teeth, per scheme: the
 //! stateless schemes get a `MutantPolicy` wrapper that deliberately
-//! mis-places a subset of lines; WEC, Coloring, MAC and Re-NUCA-C2 get
-//! internally-consistent bugged twins built into `renuca_core` (a skewed
-//! redirect target, an off-by-one epoch, an inverted replacement policy,
-//! an expansion on equal size classes). In every case the harness must catch
+//! mis-places a subset of lines; WEC and Coloring get internally-consistent
+//! bugged twins built into `renuca_core` (a skewed redirect target, an
+//! off-by-one epoch); MAC and Re-NUCA-C2 are built from their own parts
+//! with the non-default part twisted (an inverted replacement policy, an
+//! expansion on equal size classes). In every case the harness must catch
 //! the injected bug and shrink it to a 1-minimal reproducer.
 //!
 //! [`check`] runs the whole net — corpus, metamorphic invariants and
@@ -44,16 +45,20 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
+use cmp_sim::cache::ReplacementKind;
 use cmp_sim::config::SystemConfig;
 use cmp_sim::hierarchy::MemoryHierarchy;
 use cmp_sim::placement::{AccessMeta, CriticalityPredictor, LlcPlacement};
-use cmp_sim::types::{line_of, owner_of_line, page_of_line, BankId, Cycle};
+use cmp_sim::types::{line_of, page_of_line, BankId, Cycle};
+use compress::CompressSpec;
 use golden::{
     generate, parse_trace, trace_to_text, GoldenCpt, GoldenEvent, GoldenEventKind, GoldenPolicy,
     GoldenScheme, GoldenSystem, TraceOp, TraceSpec,
 };
+use renuca_core::mapping::owner;
 use renuca_core::{
-    Coloring, Cpt, CptConfig, Mac, NaiveOracle, ReNuca, ReNucaC2, Scheme, Wec, COLORING_EPOCH,
+    BasePlacement, Coloring, Cpt, CptConfig, NaiveOracle, ReNuca, Scheme, SchemeParts, Wec,
+    COLORING_EPOCH,
 };
 use sim_stats::{StatsRegistry, TraceBuffer, TraceCategory, TraceEvent};
 
@@ -142,9 +147,7 @@ pub fn replay(
 
 /// [`replay`] with a deliberate per-scheme bug injected into the real
 /// side — used by [`mutation_check`] to prove the harness catches real
-/// divergences. Stateless schemes (S-NUCA / R-NUCA / Private) get the
-/// `MutantPolicy` wrapper; WEC / Coloring / MAC get their bugged twins
-/// (see `inject_bug` for the dispatch).
+/// divergences (see `inject_bug` for the bug each scheme gets).
 pub fn replay_mutated(
     scheme: Scheme,
     cfg: &SystemConfig,
@@ -221,45 +224,46 @@ impl LlcPlacement for MutantPolicy {
     }
 }
 
-/// Per-scheme bug injection for [`replay_mutated`]. The stateless schemes
-/// take the `MutantPolicy` wrapper around the policy they already built;
-/// the directory-backed competitors cannot (twisted bank ids would trip
-/// their on-evict directory assertions), so they substitute the
-/// internally-consistent bugged twins shipped with `renuca_core`:
-///
-/// * WEC redirects hot fills one bank past the coldest;
-/// * Coloring rotates its remap one write too early (epoch 63, not 64);
-/// * MAC inverts its replacement policy (evict dirty-first, not clean-first);
-/// * Re-NUCA-C2 expands on class *equality*, not strict growth
-///   (`CompressSpec::expand_on_equal`) — placement stays identical and
-///   only the expansion counters and bank `expand_ops` drift, so catching
-///   it requires the compression-state comparison.
+/// Per-scheme bug injection for [`replay_mutated`], read from the
+/// scheme's parts. A non-default part is twisted: write-aware replacement
+/// (MAC) becomes [`ReplacementKind::DirtyFirst`], and a compressed array
+/// (Re-NUCA-C2) expands on class *equality* (`expand_on_equal`) — placement
+/// stays identical, so only the compression-state comparison can catch it.
+/// Plain stateless placements take the `MutantPolicy` wrapper. The
+/// directory-backed competitors cannot (twisted bank ids would trip their
+/// on-evict assertions), so they substitute the internally-consistent
+/// bugged twins shipped with `renuca_core`: WEC redirects hot fills one
+/// bank past the coldest, Coloring rotates its remap one write early
+/// (epoch 63, not 64).
 fn inject_bug(
     scheme: Scheme,
     cfg: &SystemConfig,
     policy: Box<dyn LlcPlacement>,
 ) -> Box<dyn LlcPlacement> {
+    let parts = scheme.parts();
+    let compression = parts.compression(cfg);
+    if parts.replacement != ReplacementKind::Lru {
+        let bugged = SchemeParts {
+            replacement: ReplacementKind::DirtyFirst,
+            ..parts
+        };
+        return bugged.build(cfg, compression);
+    }
+    if let Some(spec) = compression {
+        let bugged = CompressSpec {
+            expand_on_equal: true,
+            ..spec
+        };
+        return parts.build(cfg, Some(bugged));
+    }
     let max_lines = cfg.n_banks * cfg.l3_bank.lines();
-    match scheme {
-        Scheme::Wec => Box::new(Wec::bugged(cfg.n_banks, max_lines)),
-        Scheme::Coloring => Box::new(Coloring::with_epoch(
+    match parts.placement {
+        BasePlacement::Wec => Box::new(Wec::bugged(cfg.n_banks, max_lines)),
+        BasePlacement::Coloring => Box::new(Coloring::with_epoch(
             cfg.n_banks,
             max_lines,
             COLORING_EPOCH - 1,
         )),
-        Scheme::Mac => Box::new(Mac::bugged(cfg.n_banks)),
-        Scheme::ReNucaC2 => Box::new(
-            ReNucaC2::new(
-                ReNuca::with_tlb_geometry(
-                    cfg.noc.cols,
-                    cfg.noc.rows,
-                    cfg.tlb_entries,
-                    cfg.tlb_assoc,
-                ),
-                compress::CompressSpec::new(cfg.l3_subblocks, cfg.compress_seed),
-            )
-            .bugged(),
-        ),
         _ => Box::new(MutantPolicy {
             inner: policy,
             n_banks: cfg.n_banks,
@@ -267,15 +271,23 @@ fn inject_bug(
     }
 }
 
-/// The owning core of a line, exactly as `renuca_core::mapping` computes
-/// it: mask for pow2 machine sizes, modulo otherwise.
-fn owner(line: u64, n: usize) -> usize {
-    let raw = owner_of_line(line);
-    if n.is_power_of_two() {
-        raw & (n - 1)
-    } else {
-        raw % n
-    }
+/// The golden twin of `scheme`, read from its parts: the base placement's
+/// naive model, whether its L3 banks evict clean lines first, and whether
+/// its data array is compressed. Mutation twins are checked against the
+/// unmutated scheme's twin.
+fn golden_parts(scheme: Scheme) -> (GoldenScheme, bool, bool) {
+    let parts = scheme.parts();
+    let placement = match parts.placement {
+        BasePlacement::SNuca => GoldenScheme::SNuca,
+        BasePlacement::RNuca => GoldenScheme::RNuca,
+        BasePlacement::Private => GoldenScheme::Private,
+        BasePlacement::Naive => GoldenScheme::Naive,
+        BasePlacement::ReNuca => GoldenScheme::ReNuca,
+        BasePlacement::Wec => GoldenScheme::Wec,
+        BasePlacement::Coloring => GoldenScheme::Coloring,
+    };
+    let write_aware = parts.replacement == ReplacementKind::WriteAware;
+    (placement, write_aware, parts.compressed)
 }
 
 fn convert_event(ev: &TraceEvent) -> Option<GoldenEvent> {
@@ -326,13 +338,18 @@ fn run_diff(
     // plus one writeback, so a small buffer drained every op never wraps.
     h.trace = TraceBuffer::with_categories(16, &[TraceCategory::Fill, TraceCategory::Writeback]);
 
-    let gscheme = GoldenScheme::from_name(scheme.name()).expect("golden mirrors every scheme");
-    let mut g = GoldenSystem::new(cfg, GoldenPolicy::new(gscheme, cols, rows));
+    let (gscheme, write_aware, compressed) = golden_parts(scheme);
+    let mut g = GoldenSystem::new(
+        cfg,
+        GoldenPolicy::new(gscheme, cols, rows),
+        write_aware,
+        compressed,
+    );
 
-    // Twin criticality predictors (both Re-NUCA flavours): the real CPT
-    // feeds the real hierarchy, the golden CPT feeds the golden system,
-    // and their verdicts must agree at every issue.
-    let renuca = matches!(scheme, Scheme::ReNuca | Scheme::ReNucaC2);
+    // Twin criticality predictors (every scheme with Re-NUCA placement):
+    // the real CPT feeds the real hierarchy, the golden CPT feeds the
+    // golden system, and their verdicts must agree at every issue.
+    let renuca = scheme.parts().placement == BasePlacement::ReNuca;
     let cpt_cfg = CptConfig::default();
     let mut cpts: Vec<Cpt> = (0..cfg.n_cores).map(|_| Cpt::new(cpt_cfg)).collect();
     let mut gcpts: Vec<GoldenCpt> = (0..cfg.n_cores)
@@ -568,61 +585,47 @@ fn final_state_compare(
 
     // 4. Policy-internal state via the as_any escape hatch.
     if let Some(any) = h.policy().as_any() {
-        if let Some(real) = any.downcast_ref::<NaiveOracle>() {
-            if real.write_counters() != g.policy.naive_writes.as_slice() {
+        let (gw, gdir) = (&g.policy.writes, g.policy.directory.len());
+        let counters = match (any.downcast_ref::<NaiveOracle>(), any.downcast_ref::<Wec>()) {
+            (Some(p), _) => Some(("Naive", "directory", p.write_counters(), p.directory_len())),
+            (_, Some(p)) => Some((
+                "WEC",
+                "redirect-directory",
+                p.write_counters(),
+                p.directory_len(),
+            )),
+            _ => None,
+        };
+        if let Some((name, dir, writes, len)) = counters {
+            if writes != gw.as_slice() {
                 return Err(fail(format!(
-                    "Naive write counters diverged: real {:?}, golden {:?}",
-                    real.write_counters(),
-                    g.policy.naive_writes
+                    "{name} write counters diverged: real {writes:?}, golden {gw:?}"
                 )));
             }
-            if real.directory_len() != g.policy.naive_directory.len() {
+            if len != gdir {
                 return Err(fail(format!(
-                    "Naive directory size diverged: real {}, golden {}",
-                    real.directory_len(),
-                    g.policy.naive_directory.len()
-                )));
-            }
-        }
-        if let Some(real) = any.downcast_ref::<Wec>() {
-            if real.write_counters() != g.policy.wec_writes.as_slice() {
-                return Err(fail(format!(
-                    "WEC write counters diverged: real {:?}, golden {:?}",
-                    real.write_counters(),
-                    g.policy.wec_writes
-                )));
-            }
-            if real.directory_len() != g.policy.wec_directory.len() {
-                return Err(fail(format!(
-                    "WEC redirect-directory size diverged: real {}, golden {}",
-                    real.directory_len(),
-                    g.policy.wec_directory.len()
+                    "{name} {dir} size diverged: real {len}, golden {gdir}"
                 )));
             }
         }
         if let Some(real) = any.downcast_ref::<Coloring>() {
-            if real.total_writes() != g.policy.coloring_writes {
+            let gtotal: u64 = gw.iter().sum();
+            if real.total_writes() != gtotal {
                 return Err(fail(format!(
-                    "Coloring write total diverged: real {}, golden {}",
-                    real.total_writes(),
-                    g.policy.coloring_writes
+                    "Coloring write total diverged: real {}, golden {gtotal}",
+                    real.total_writes()
                 )));
             }
-            if real.directory_len() != g.policy.coloring_directory.len() {
+            if real.directory_len() != gdir {
                 return Err(fail(format!(
-                    "Coloring directory size diverged: real {}, golden {}",
-                    real.directory_len(),
-                    g.policy.coloring_directory.len()
+                    "Coloring directory size diverged: real {}, golden {gdir}",
+                    real.directory_len()
                 )));
             }
         }
+        // `Composed` forwards `as_any`, so Re-NUCA-C2 lands here too.
         if let Some(real) = any.downcast_ref::<ReNuca>() {
             compare_renuca_state(real, g, cfg, ops, end)?;
-        }
-        // The compressed variant wraps a Re-NUCA whose MBV/placement state
-        // must match the golden Re-NUCA-C2 model exactly the same way.
-        if let Some(real) = any.downcast_ref::<ReNucaC2>() {
-            compare_renuca_state(real.renuca(), g, cfg, ops, end)?;
         }
     }
 
@@ -1305,6 +1308,110 @@ mod tests {
         });
         assert_eq!(minimal.len(), 2);
         assert_eq!((minimal[0].pc, minimal[1].pc), (77, 88));
+    }
+
+    #[test]
+    fn every_scheme_is_its_parts() {
+        use cmp_sim::placement::LlcAccessKind;
+        use cmp_sim::types::phys_addr;
+        use sim_rng::SimRng;
+
+        let cfg = tiny_cfg(2, 2);
+        let factory_spec = CompressSpec::new(cfg.l3_subblocks, cfg.compress_seed);
+        let meta = |line: u64, critical: bool| AccessMeta {
+            core: owner(line, cfg.n_cores),
+            line,
+            page: page_of_line(line),
+            pc: 1,
+            kind: LlcAccessKind::Demand,
+            predicted_critical: critical,
+        };
+        for scheme in Scheme::ALL {
+            let parts = scheme.parts();
+            let policy = scheme.build_policy(&cfg);
+
+            // The built policy answers its row.
+            assert_eq!(policy.name(), scheme.name());
+            assert_eq!(policy.l3_replacement(), parts.replacement, "{scheme}");
+            let spec = policy.compression();
+            assert_eq!(spec, parts.compressed.then_some(factory_spec), "{scheme}");
+            assert!(
+                !spec.is_some_and(|s| s.expand_on_equal),
+                "{scheme}: the factory never builds the bug"
+            );
+
+            // The mutation twin twists exactly the non-default part.
+            let mutant = inject_bug(scheme, &cfg, scheme.build_policy(&cfg));
+            assert_eq!(mutant.name(), scheme.name());
+            let twisted = match parts.replacement {
+                ReplacementKind::Lru => ReplacementKind::Lru,
+                _ => ReplacementKind::DirtyFirst,
+            };
+            assert_eq!(mutant.l3_replacement(), twisted, "{scheme}");
+            assert_eq!(
+                mutant.compression(),
+                spec.map(|s| CompressSpec {
+                    expand_on_equal: true,
+                    ..s
+                }),
+                "{scheme}"
+            );
+
+            // A composed scheme (and the twin of one) picks the same banks
+            // as its base placement over a seeded lookup/fill/write/evict
+            // schedule.
+            let base = SchemeParts {
+                replacement: ReplacementKind::Lru,
+                compressed: false,
+                ..parts
+            };
+            if base == parts {
+                continue;
+            }
+            for mut composed in [scheme.build_policy(&cfg), mutant] {
+                let mut plain = base.build(&cfg, None);
+                let mut rng = SimRng::seed_from_u64(0xC0_4905E);
+                let mut resident: Vec<(u64, BankId)> = Vec::new();
+                for step in 0..4000 {
+                    let core = rng.gen_range_usize(0..cfg.n_cores);
+                    let line = phys_addr(core, rng.gen_bounded(1 << 12) * 64) >> 6;
+                    let m = meta(line, rng.gen_bool(0.5));
+                    let (got, want) = (composed.lookup_bank(&m), plain.lookup_bank(&m));
+                    assert_eq!(got, want, "{scheme} step {step}");
+                    match rng.gen_bounded(4) {
+                        0 if !resident.iter().any(|&(l, _)| l == line) => {
+                            let bank = plain.fill_bank(&m);
+                            assert_eq!(composed.fill_bank(&m), bank, "{scheme} step {step}");
+                            plain.on_fill(&m, bank);
+                            composed.on_fill(&m, bank);
+                            resident.push((line, bank));
+                        }
+                        1 => {
+                            let bank = rng.gen_range_usize(0..cfg.n_banks);
+                            plain.on_l3_write(bank);
+                            composed.on_l3_write(bank);
+                        }
+                        2 if !resident.is_empty() => {
+                            let i = rng.gen_range_usize(0..resident.len());
+                            let (line, bank) = resident.swap_remove(i);
+                            plain.on_evict(line, bank);
+                            composed.on_evict(line, bank);
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        }
+        // The golden twin is the base placement with the same flags: MAC's
+        // is S-NUCA over write-aware banks, Re-NUCA-C2's is Re-NUCA over a
+        // compressed array.
+        for (s, twin) in [
+            (Scheme::Mac, (GoldenScheme::SNuca, true, false)),
+            (Scheme::SNuca, (GoldenScheme::SNuca, false, false)),
+            (Scheme::ReNucaC2, (GoldenScheme::ReNuca, false, true)),
+        ] {
+            assert_eq!(golden_parts(s), twin, "{s}");
+        }
     }
 
     #[test]

@@ -78,10 +78,11 @@ fn injected_placement_bug_is_caught_and_shrunk() {
 
 #[test]
 fn injected_bugs_in_competitor_schemes_are_caught() {
-    // Each new scheme ships an internally-consistent bugged twin (skewed
-    // WEC redirect, off-by-one Coloring epoch, inverted MAC replacement);
-    // the harness must catch each one and shrink it to a 1-minimal trace
-    // (mutation_check itself verifies 1-minimality op by op).
+    // Each competitor has an internally-consistent bugged twin (skewed
+    // WEC redirect, off-by-one Coloring epoch, MAC's own parts with
+    // inverted replacement); the harness must catch each one and shrink it
+    // to a 1-minimal trace (mutation_check itself verifies 1-minimality op
+    // by op).
     let out = tmp_out();
     for scheme in [Scheme::Wec, Scheme::Coloring, Scheme::Mac] {
         let report = diff::mutation_check(scheme, 42, 2000, &out)

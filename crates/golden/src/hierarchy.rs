@@ -21,7 +21,7 @@ use cmp_sim::types::line_of;
 
 use crate::cache::GoldenCache;
 use crate::compress::GoldenCompress;
-use crate::policy::{GoldenPolicy, GoldenScheme};
+use crate::policy::GoldenPolicy;
 
 /// What kind of L3 write an event records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -110,7 +110,7 @@ pub struct GoldenSystem {
     dir: BTreeMap<u64, DirEntry>,
     /// Per-bank, per-slot write counts (slot = set × assoc + way).
     pub wear: Vec<Vec<u64>>,
-    /// Compressed-array state, present only for Re-NUCA-C2.
+    /// Compressed-array state, present only when built `compressed`.
     pub compress: Option<GoldenCompress>,
     /// Per-core counters.
     pub per_core: Vec<GoldenPerCore>,
@@ -124,11 +124,20 @@ pub struct GoldenSystem {
 
 impl GoldenSystem {
     /// Build the golden system for `cfg` with the given policy model.
+    /// `write_aware` makes the L3 banks evict clean lines first (MAC's
+    /// replacement); `compressed` models the L2C2-style compressed data
+    /// array of Re-NUCA-C2 (sub-block wear, allocation classes and
+    /// expansions, see `crate::compress`).
     ///
     /// # Panics
     /// Panics when `cfg` enables prefetching, intra-bank rotation or
     /// block-criticality tracking (outside the golden model's scope).
-    pub fn new(cfg: &SystemConfig, policy: GoldenPolicy) -> Self {
+    pub fn new(
+        cfg: &SystemConfig,
+        policy: GoldenPolicy,
+        write_aware: bool,
+        compressed: bool,
+    ) -> Self {
         cfg.validate();
         assert!(
             !cfg.prefetch.enabled || cfg.prefetch.streams == 0,
@@ -151,21 +160,19 @@ impl GoldenSystem {
             l2: (0..cfg.n_cores)
                 .map(|_| GoldenCache::new(cfg.l2.lines(), cfg.l2.assoc, false))
                 .collect(),
-            // MAC banks run clean-first victim selection, matching
-            // `LlcPlacement::l3_replacement` on the real side.
             l3: (0..cfg.n_banks)
                 .map(|_| {
                     GoldenCache::with_write_aware(
                         cfg.l3_bank.lines(),
                         cfg.l3_bank.assoc,
                         true,
-                        policy.scheme().write_aware_replacement(),
+                        write_aware,
                     )
                 })
                 .collect(),
             dir: BTreeMap::new(),
             wear: vec![vec![0; cfg.l3_bank.lines()]; cfg.n_banks],
-            compress: (policy.scheme() == GoldenScheme::ReNucaC2).then(|| {
+            compress: compressed.then(|| {
                 GoldenCompress::new(
                     cfg.n_banks,
                     cfg.l3_bank.lines(),
@@ -456,7 +463,12 @@ mod tests {
     #[test]
     fn first_touch_fills_then_hits_silently() {
         let cfg = tiny();
-        let mut g = GoldenSystem::new(&cfg, GoldenPolicy::new(GoldenScheme::SNuca, 2, 2));
+        let mut g = GoldenSystem::new(
+            &cfg,
+            GoldenPolicy::new(GoldenScheme::SNuca, 2, 2),
+            false,
+            false,
+        );
         let phys = phys_addr(0, 0x1000);
         let ev = g.step(0, phys, false, false);
         assert_eq!(ev.len(), 1);

@@ -5,9 +5,11 @@
 //!
 //! * [`cache`] — a stamp-based set-associative cache using per-set `Vec`s and
 //!   modulo indexing,
-//! * [`policy`] — all five LLC placement policies (S-NUCA, R-NUCA, Private,
-//!   Naive, Re-NUCA) with `BTreeMap` state instead of the open-addressed
-//!   tables and hardware-shaped TLB of `renuca-core`,
+//! * [`policy`] — all seven base placements (S-NUCA, R-NUCA, Private,
+//!   Naive, Re-NUCA, WEC, Coloring) with `BTreeMap` state instead of the
+//!   open-addressed tables and hardware-shaped TLB of `renuca-core`; the
+//!   write-aware replacement and compression that MAC and Re-NUCA-C2 add
+//!   are [`GoldenSystem::new`] flags,
 //! * [`cpt`] — the Criticality Prediction Table,
 //! * [`compress`] — the L2C2 size-class content model, sub-block masks and
 //!   per-cell wear for the compressed Re-NUCA-C2 variant,

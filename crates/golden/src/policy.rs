@@ -23,7 +23,9 @@ pub const GOLDEN_WEC_THRESHOLD: u64 = 8;
 /// Coloring's writes-per-epoch; twin of `renuca_core::COLORING_EPOCH`.
 pub const GOLDEN_COLORING_EPOCH: u64 = 64;
 
-/// The placement schemes, named as in `renuca_core::Scheme`.
+/// The base placements of `renuca_core::BasePlacement`. Replacement and
+/// compression are not placement: [`crate::GoldenSystem::new`] takes them
+/// as flags.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GoldenScheme {
     /// Static NUCA: bank = low line bits.
@@ -40,54 +42,6 @@ pub enum GoldenScheme {
     Wec,
     /// Coloring: the bank map rotates one bank per write epoch.
     Coloring,
-    /// MAC: S-NUCA placement over write-aware bank replacement.
-    Mac,
-    /// Re-NUCA over a compressed (L2C2-style) data array: placement is
-    /// identical to Re-NUCA; the hierarchy additionally tracks sub-block
-    /// wear, allocation classes and expansions (see `crate::compress`).
-    ReNucaC2,
-}
-
-impl GoldenScheme {
-    /// All nine schemes, in `renuca_core::Scheme::ALL` order.
-    pub const ALL: [GoldenScheme; 9] = [
-        GoldenScheme::Naive,
-        GoldenScheme::SNuca,
-        GoldenScheme::ReNuca,
-        GoldenScheme::RNuca,
-        GoldenScheme::Private,
-        GoldenScheme::Wec,
-        GoldenScheme::Coloring,
-        GoldenScheme::Mac,
-        GoldenScheme::ReNucaC2,
-    ];
-
-    /// Display name matching `renuca_core::Scheme::name`.
-    pub fn name(self) -> &'static str {
-        match self {
-            GoldenScheme::SNuca => "S-NUCA",
-            GoldenScheme::RNuca => "R-NUCA",
-            GoldenScheme::Private => "Private",
-            GoldenScheme::Naive => "Naive",
-            GoldenScheme::ReNuca => "Re-NUCA",
-            GoldenScheme::Wec => "WEC",
-            GoldenScheme::Coloring => "Coloring",
-            GoldenScheme::Mac => "MAC",
-            GoldenScheme::ReNucaC2 => "Re-NUCA-C2",
-        }
-    }
-
-    /// Parse a display name back into a scheme.
-    pub fn from_name(name: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|s| s.name() == name)
-    }
-
-    /// Whether this scheme's L3 banks run write-aware (clean-first) victim
-    /// selection instead of true LRU — the golden hierarchy builds its bank
-    /// arrays accordingly.
-    pub fn write_aware_replacement(self) -> bool {
-        self == GoldenScheme::Mac
-    }
 }
 
 /// The owning core of a line, clamped into the machine: mask for pow2 core
@@ -121,23 +75,18 @@ pub struct GoldenPolicy {
     cols: usize,
     rows: usize,
     n_banks: usize,
-    /// Naive: per-bank write counters (the oracle's leveling state).
-    pub naive_writes: Vec<u64>,
-    /// Naive: line → bank directory.
-    pub naive_directory: BTreeMap<u64, usize>,
+    /// Per-bank L3 write counters, kept under every scheme: the Naive
+    /// oracle's and WEC's leveling state, and (summed) Coloring's epoch
+    /// clock.
+    pub writes: Vec<u64>,
+    /// Line → bank directory: every resident line under Naive and
+    /// Coloring, only the *redirected* lines under WEC.
+    pub directory: BTreeMap<u64, usize>,
     /// Re-NUCA: (core, page) → 64-bit Mapping Bit Vector. Zero vectors are
     /// pruned so the map only holds pages with at least one R-NUCA line.
     pub mbv: BTreeMap<(usize, u64), u64>,
     /// Re-NUCA placement counters.
     pub renuca_stats: GoldenReNucaStats,
-    /// WEC: per-bank write counters.
-    pub wec_writes: Vec<u64>,
-    /// WEC: line → bank directory of *redirected* lines only.
-    pub wec_directory: BTreeMap<u64, usize>,
-    /// Coloring: total L3 writes (the epoch clock).
-    pub coloring_writes: u64,
-    /// Coloring: line → bank directory of every resident line.
-    pub coloring_directory: BTreeMap<u64, usize>,
 }
 
 impl GoldenPolicy {
@@ -151,14 +100,10 @@ impl GoldenPolicy {
             cols,
             rows,
             n_banks,
-            naive_writes: vec![0; n_banks],
-            naive_directory: BTreeMap::new(),
+            writes: vec![0; n_banks],
+            directory: BTreeMap::new(),
             mbv: BTreeMap::new(),
             renuca_stats: GoldenReNucaStats::default(),
-            wec_writes: vec![0; n_banks],
-            wec_directory: BTreeMap::new(),
-            coloring_writes: 0,
-            coloring_directory: BTreeMap::new(),
         }
     }
 
@@ -239,32 +184,28 @@ impl GoldenPolicy {
     /// Coloring's current bank map: the S-NUCA home shifted by one bank per
     /// completed write epoch, re-derived from the write total on each call.
     pub fn coloring_bank(&self, line: u64) -> usize {
-        let shift = (self.coloring_writes / GOLDEN_COLORING_EPOCH) % self.n_banks as u64;
+        let total: u64 = self.writes.iter().sum();
+        let shift = (total / GOLDEN_COLORING_EPOCH) % self.n_banks as u64;
         (self.snuca_bank(line) + shift as usize) % self.n_banks
     }
 
     /// The bank to search for `line` (mirrors `LlcPlacement::lookup_bank`).
     pub fn lookup_bank(&mut self, line: u64) -> usize {
         match self.scheme {
-            GoldenScheme::SNuca | GoldenScheme::Mac => self.snuca_bank(line),
+            GoldenScheme::SNuca => self.snuca_bank(line),
             GoldenScheme::RNuca => self.rnuca_bank(owner(line, self.n_banks), line),
             GoldenScheme::Private => owner(line, self.n_banks),
-            GoldenScheme::Naive => self
-                .naive_directory
-                .get(&line)
-                .copied()
-                .unwrap_or_else(|| self.snuca_bank(line)),
-            GoldenScheme::Wec => self
-                .wec_directory
+            GoldenScheme::Naive | GoldenScheme::Wec => self
+                .directory
                 .get(&line)
                 .copied()
                 .unwrap_or_else(|| self.snuca_bank(line)),
             GoldenScheme::Coloring => self
-                .coloring_directory
+                .directory
                 .get(&line)
                 .copied()
                 .unwrap_or_else(|| self.coloring_bank(line)),
-            GoldenScheme::ReNuca | GoldenScheme::ReNucaC2 => {
+            GoldenScheme::ReNuca => {
                 let core = owner(line, self.n_banks);
                 let page = page_of_line(line);
                 let bit = line_index_in_page(line) as u32;
@@ -282,11 +223,11 @@ impl GoldenPolicy {
     /// The bank a new fill of `line` goes to (mirrors `fill_bank`).
     pub fn fill_bank(&mut self, line: u64, predicted_critical: bool) -> usize {
         match self.scheme {
-            GoldenScheme::SNuca | GoldenScheme::Mac => self.snuca_bank(line),
+            GoldenScheme::SNuca => self.snuca_bank(line),
             GoldenScheme::Wec => {
                 let home = self.snuca_bank(line);
-                let coldest = Self::coldest_bank(&self.wec_writes);
-                if self.wec_writes[home] >= self.wec_writes[coldest] + GOLDEN_WEC_THRESHOLD {
+                let coldest = Self::coldest_bank(&self.writes);
+                if self.writes[home] >= self.writes[coldest] + GOLDEN_WEC_THRESHOLD {
                     coldest
                 } else {
                     home
@@ -295,19 +236,8 @@ impl GoldenPolicy {
             GoldenScheme::Coloring => self.coloring_bank(line),
             GoldenScheme::RNuca => self.rnuca_bank(owner(line, self.n_banks), line),
             GoldenScheme::Private => owner(line, self.n_banks),
-            GoldenScheme::Naive => {
-                // First strict minimum, scanning banks in order.
-                let mut best = 0;
-                let mut best_w = self.naive_writes[0];
-                for (b, &w) in self.naive_writes.iter().enumerate().skip(1) {
-                    if w < best_w {
-                        best = b;
-                        best_w = w;
-                    }
-                }
-                best
-            }
-            GoldenScheme::ReNuca | GoldenScheme::ReNucaC2 => {
+            GoldenScheme::Naive => Self::coldest_bank(&self.writes),
+            GoldenScheme::ReNuca => {
                 let core = owner(line, self.n_banks);
                 if predicted_critical {
                     self.rnuca_bank(core, line)
@@ -321,18 +251,15 @@ impl GoldenPolicy {
     /// A fill of `line` landed in `bank` (mirrors `on_fill`).
     pub fn on_fill(&mut self, line: u64, predicted_critical: bool, bank: usize) {
         match self.scheme {
-            GoldenScheme::Naive => {
-                self.naive_directory.insert(line, bank);
+            GoldenScheme::Naive | GoldenScheme::Coloring => {
+                self.directory.insert(line, bank);
             }
             GoldenScheme::Wec => {
                 if bank != self.snuca_bank(line) {
-                    self.wec_directory.insert(line, bank);
+                    self.directory.insert(line, bank);
                 }
             }
-            GoldenScheme::Coloring => {
-                self.coloring_directory.insert(line, bank);
-            }
-            GoldenScheme::ReNuca | GoldenScheme::ReNucaC2 => {
+            GoldenScheme::ReNuca => {
                 let core = owner(line, self.n_banks);
                 let page = page_of_line(line);
                 let bit = line_index_in_page(line) as u32;
@@ -349,22 +276,17 @@ impl GoldenPolicy {
 
     /// A write (fill or writeback) landed in `bank` (mirrors `on_l3_write`).
     pub fn on_l3_write(&mut self, bank: usize) {
-        match self.scheme {
-            GoldenScheme::Naive => self.naive_writes[bank] += 1,
-            GoldenScheme::Wec => self.wec_writes[bank] += 1,
-            GoldenScheme::Coloring => self.coloring_writes += 1,
-            _ => {}
-        }
+        self.writes[bank] += 1;
     }
 
     /// `line` was evicted from `bank` (mirrors `on_evict`).
     pub fn on_evict(&mut self, line: u64, bank: usize) {
         match self.scheme {
-            GoldenScheme::Naive => {
-                let removed = self.naive_directory.remove(&line);
+            GoldenScheme::Naive | GoldenScheme::Coloring => {
+                let removed = self.directory.remove(&line);
                 debug_assert_eq!(removed, Some(bank), "golden directory out of sync");
             }
-            GoldenScheme::Wec => match self.wec_directory.remove(&line) {
+            GoldenScheme::Wec => match self.directory.remove(&line) {
                 Some(recorded) => {
                     debug_assert_eq!(recorded, bank, "golden WEC directory out of sync")
                 }
@@ -374,11 +296,7 @@ impl GoldenPolicy {
                     "golden WEC: untracked eviction away from the home"
                 ),
             },
-            GoldenScheme::Coloring => {
-                let removed = self.coloring_directory.remove(&line);
-                debug_assert_eq!(removed, Some(bank), "golden Coloring directory out of sync");
-            }
-            GoldenScheme::ReNuca | GoldenScheme::ReNucaC2 => {
+            GoldenScheme::ReNuca => {
                 let core = owner(line, self.n_banks);
                 let page = page_of_line(line);
                 let bit = line_index_in_page(line) as u32;
@@ -435,10 +353,10 @@ mod tests {
         let b = p.fill_bank(5, false);
         assert_eq!(b, 0, "hot home: redirect to the coldest bank");
         p.on_fill(5, false, b);
-        assert_eq!(p.wec_directory.len(), 1);
+        assert_eq!(p.directory.len(), 1);
         assert_eq!(p.lookup_bank(5), 0);
         p.on_evict(5, b);
-        assert!(p.wec_directory.is_empty());
+        assert!(p.directory.is_empty());
         assert_eq!(p.lookup_bank(5), 1);
     }
 
@@ -458,18 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn mac_places_exactly_like_snuca() {
-        let mut mac = GoldenPolicy::new(GoldenScheme::Mac, 4, 4);
-        let mut snuca = GoldenPolicy::new(GoldenScheme::SNuca, 4, 4);
-        for line in [0u64, 17, 12345, 1 << 30] {
-            assert_eq!(mac.lookup_bank(line), snuca.lookup_bank(line));
-            assert_eq!(mac.fill_bank(line, true), snuca.fill_bank(line, true));
-        }
-        assert!(GoldenScheme::Mac.write_aware_replacement());
-        assert!(!GoldenScheme::SNuca.write_aware_replacement());
-    }
-
-    #[test]
     fn naive_levels_and_tracks_lines() {
         let mut p = GoldenPolicy::new(GoldenScheme::Naive, 2, 2);
         for line in 0..100u64 {
@@ -477,9 +383,9 @@ mod tests {
             p.on_fill(line, false, b);
             p.on_l3_write(b);
         }
-        let max = *p.naive_writes.iter().max().unwrap();
-        let min = *p.naive_writes.iter().min().unwrap();
+        let max = *p.writes.iter().max().unwrap();
+        let min = *p.writes.iter().min().unwrap();
         assert!(max - min <= 1);
-        assert_eq!(p.naive_directory.len(), 100);
+        assert_eq!(p.directory.len(), 100);
     }
 }

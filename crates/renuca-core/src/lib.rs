@@ -27,7 +27,9 @@
 //! | [`mapping::ReNuca`] | §IV | the hybrid, criticality-gated mapping |
 //! | [`criticality::Cpt`] | §IV.B | the Criticality Predictor Table |
 //! | [`tlb::EnhancedTlb`] | §IV.C | TLB + per-page Mapping Bit Vector |
-//! | [`scheme`] | §V | one-stop factory for building any evaluated scheme |
+//! | [`mapping::Wec`], [`mapping::Coloring`] | related work | wear-management placement competitors |
+//! | [`mapping::Composed`] | related work | a placement carrying write-aware replacement (MAC) or compression (Re-NUCA-C2) |
+//! | [`scheme`] | §V | every evaluated scheme as placement × replacement × compression |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,8 +41,8 @@ pub mod tlb;
 
 pub use criticality::{Cpt, CptConfig};
 pub use mapping::{
-    Coloring, Mac, NaiveOracle, PrivateMap, RNuca, ReNuca, ReNucaC2, ReNucaTwoProbe, SNuca, Wec,
+    Coloring, Composed, NaiveOracle, PrivateMap, RNuca, ReNuca, ReNucaTwoProbe, SNuca, Wec,
     COLORING_EPOCH, WEC_THRESHOLD,
 };
-pub use scheme::Scheme;
+pub use scheme::{BasePlacement, Scheme, SchemeParts};
 pub use tlb::EnhancedTlb;

@@ -1,6 +1,8 @@
-//! The evaluated L3 placement policies: the paper's five schemes plus the
-//! three wear-management competitors from the related work (WEC, Coloring,
-//! MAC).
+//! The L3 placement policies: the paper's five schemes, the two
+//! placement competitors from the related work (WEC, Coloring), the
+//! MBV-less Re-NUCA ablation, and [`Composed`], the one carrier that gives
+//! a placement a non-default L3 replacement policy or a compression model
+//! (how MAC and Re-NUCA-C2 are built; see [`crate::scheme`]).
 //!
 //! All policies implement [`cmp_sim::placement::LlcPlacement`]. Bank ids
 //! coincide with mesh tile ids (one bank per core tile, paper Table I).
@@ -20,7 +22,7 @@ use crate::tlb::EnhancedTlb;
 /// core 5 of 6 would alias onto core 4), so non-pow2 counts take the modulo
 /// path.
 #[inline]
-fn owner(line: u64, n_cores: usize) -> CoreId {
+pub fn owner(line: u64, n_cores: usize) -> CoreId {
     let raw = owner_of_line(line);
     if n_cores.is_power_of_two() {
         raw & (n_cores - 1)
@@ -209,59 +211,36 @@ impl LlcPlacement for PrivateMap {
 // Naive (perfect wear-leveling oracle)
 // ---------------------------------------------------------------------------
 
-/// The paper's §III.A "Naive" scheme: every fill goes to the bank with the
-/// fewest writes so far, yielding perfect wear-leveling (0% variation) —
-/// and requiring a global directory to find lines again, whose lookup
-/// latency (plus the lost locality) costs ~21% performance vs S-NUCA. The
-/// paper uses it as an upper bound on leveling, not as a practical design.
+/// Per-bank L3 write counters with their lowest-index argmin kept up to
+/// date incrementally: counters only grow, so a write to any bank but the
+/// current minimum cannot move it, and the O(n_banks) rescan runs only
+/// when the minimum bank itself is written. [`NaiveOracle`] and [`Wec`]
+/// read the coldest bank on every fill in O(1).
 #[derive(Clone, Debug)]
-pub struct NaiveOracle {
+struct WriteCounters {
     writes: Vec<u64>,
-    /// Lowest-index argmin of `writes`, maintained incrementally: a write
-    /// to any other bank cannot change it (counters only grow), so the
-    /// O(n_banks) rescan runs only when the current minimum bank is
-    /// written — `fill_bank` itself becomes O(1).
     min_bank: BankId,
-    directory: FixedTable<BankId>,
-    dir_latency: Cycle,
-    fallback: SNuca,
 }
 
-impl NaiveOracle {
-    /// A Naive oracle over `n_banks` banks charging `dir_latency` cycles of
-    /// directory indirection per LLC lookup, sized for the paper's 2 MB
-    /// banks (32 K lines each). Use [`NaiveOracle::with_line_capacity`]
-    /// when the bank geometry differs.
-    pub fn new(n_banks: usize, dir_latency: Cycle) -> Self {
-        Self::with_line_capacity(n_banks, dir_latency, n_banks * 32_768)
-    }
-
-    /// A Naive oracle whose directory is bounded to `max_lines` tracked
-    /// lines (the LLC capacity in lines — entries are removed on eviction,
-    /// with one in-flight fill per bank of slack).
-    pub fn with_line_capacity(n_banks: usize, dir_latency: Cycle, max_lines: usize) -> Self {
-        let bound = max_lines + n_banks;
-        NaiveOracle {
+impl WriteCounters {
+    fn new(n_banks: usize) -> Self {
+        WriteCounters {
             writes: vec![0; n_banks],
             min_bank: 0,
-            directory: FixedTable::with_capacity(bound.min(4096), bound),
-            dir_latency,
-            fallback: SNuca::new(n_banks),
         }
     }
 
-    /// Number of lines currently tracked by the directory.
-    pub fn directory_len(&self) -> usize {
-        self.directory.len()
-    }
-
-    /// Per-bank write counters (oracle state).
-    pub fn write_counters(&self) -> &[u64] {
-        &self.writes
+    #[inline]
+    fn record(&mut self, bank: BankId) {
+        self.writes[bank] += 1;
+        if bank == self.min_bank {
+            self.min_bank = Self::scan_argmin(&self.writes);
+        }
     }
 
     /// Lowest-index bank with the fewest writes (the cached argmin).
-    fn min_write_bank(&self) -> BankId {
+    #[inline]
+    fn min_bank(&self) -> BankId {
         debug_assert_eq!(
             self.min_bank,
             Self::scan_argmin(&self.writes),
@@ -284,6 +263,52 @@ impl NaiveOracle {
     }
 }
 
+/// The paper's §III.A "Naive" scheme: every fill goes to the bank with the
+/// fewest writes so far, yielding perfect wear-leveling (0% variation) —
+/// and requiring a global directory to find lines again, whose lookup
+/// latency (plus the lost locality) costs ~21% performance vs S-NUCA. The
+/// paper uses it as an upper bound on leveling, not as a practical design.
+#[derive(Clone, Debug)]
+pub struct NaiveOracle {
+    writes: WriteCounters,
+    directory: FixedTable<BankId>,
+    dir_latency: Cycle,
+    fallback: SNuca,
+}
+
+impl NaiveOracle {
+    /// A Naive oracle over `n_banks` banks charging `dir_latency` cycles of
+    /// directory indirection per LLC lookup, sized for the paper's 2 MB
+    /// banks (32 K lines each). Use [`NaiveOracle::with_line_capacity`]
+    /// when the bank geometry differs.
+    pub fn new(n_banks: usize, dir_latency: Cycle) -> Self {
+        Self::with_line_capacity(n_banks, dir_latency, n_banks * 32_768)
+    }
+
+    /// A Naive oracle whose directory is bounded to `max_lines` tracked
+    /// lines (the LLC capacity in lines — entries are removed on eviction,
+    /// with one in-flight fill per bank of slack).
+    pub fn with_line_capacity(n_banks: usize, dir_latency: Cycle, max_lines: usize) -> Self {
+        let bound = max_lines + n_banks;
+        NaiveOracle {
+            writes: WriteCounters::new(n_banks),
+            directory: FixedTable::with_capacity(bound.min(4096), bound),
+            dir_latency,
+            fallback: SNuca::new(n_banks),
+        }
+    }
+
+    /// Number of lines currently tracked by the directory.
+    pub fn directory_len(&self) -> usize {
+        self.directory.len()
+    }
+
+    /// Per-bank write counters (oracle state).
+    pub fn write_counters(&self) -> &[u64] {
+        &self.writes.writes
+    }
+}
+
 impl LlcPlacement for NaiveOracle {
     fn name(&self) -> &'static str {
         "Naive"
@@ -298,18 +323,13 @@ impl LlcPlacement for NaiveOracle {
             .unwrap_or_else(|| self.fallback.bank_of(meta.line))
     }
     fn fill_bank(&mut self, _meta: &AccessMeta) -> BankId {
-        self.min_write_bank()
+        self.writes.min_bank()
     }
     fn on_fill(&mut self, meta: &AccessMeta, bank: BankId) {
         self.directory.insert(meta.line, bank);
     }
     fn on_l3_write(&mut self, bank: BankId) {
-        self.writes[bank] += 1;
-        // Incrementing any other bank leaves the minimum untouched; only a
-        // write to the argmin bank itself can move it.
-        if bank == self.min_bank {
-            self.min_bank = Self::scan_argmin(&self.writes);
-        }
+        self.writes.record(bank);
     }
     fn on_evict(&mut self, line: u64, bank: BankId) {
         let removed = self.directory.remove(line);
@@ -567,47 +587,26 @@ impl LlcPlacement for ReNucaTwoProbe {
 }
 
 // ---------------------------------------------------------------------------
-// Re-NUCA-C2 (compressed ReRAM data array, L2C2-style — arXiv:2204.09504)
+// Composed (a placement plus a non-default replacement or compression)
 // ---------------------------------------------------------------------------
 
-/// Re-NUCA placement over a *compressed* ReRAM data array (ROADMAP item 4:
-/// Escuin et al.'s L2C2). Placement decisions are bit-identical to
-/// [`ReNuca`] — compression rides *below* placement: each fill compacts the
-/// line to its content-model size class (1, 2 or 4 sub-blocks), only the
-/// written sub-blocks age, and an in-place write that outgrows its slot's
-/// allocation re-programs the line through an extra bank operation. All of
-/// that machinery lives in the substrate (`cmp_sim::hierarchy`), keyed off
-/// [`LlcPlacement::compression`]; this wrapper only carries the spec.
-pub struct ReNucaC2 {
-    inner: ReNuca,
-    spec: compress::CompressSpec,
+/// A base placement carrying the parts of a scheme below placement: the
+/// L3 banks' victim selection and the compression model, which the
+/// hierarchy reads once at construction. The carrier answers those and the
+/// name, and forwards every other call, `as_any` included, to the
+/// statically typed inner placement. [`crate::SchemeParts::build`] builds
+/// MAC as S-NUCA carrying [`ReplacementKind::WriteAware`] and Re-NUCA-C2 as
+/// Re-NUCA carrying a [`compress::CompressSpec`].
+pub struct Composed<P> {
+    pub(crate) inner: P,
+    pub(crate) name: &'static str,
+    pub(crate) replacement: ReplacementKind,
+    pub(crate) compression: Option<compress::CompressSpec>,
 }
 
-impl ReNucaC2 {
-    /// Wrap a [`ReNuca`] policy with a compression spec.
-    pub fn new(inner: ReNuca, spec: compress::CompressSpec) -> Self {
-        ReNucaC2 { inner, spec }
-    }
-
-    /// The wrapped Re-NUCA policy (MBV/TLB inspection — the differential
-    /// harness compares the same state it compares for plain Re-NUCA).
-    pub fn renuca(&self) -> &ReNuca {
-        &self.inner
-    }
-
-    /// The bugged twin for the differential harness's mutation self-check:
-    /// flips the spec's `expand_on_equal` switch, so slots whose write
-    /// compresses to *exactly* the allocated class spuriously expand.
-    /// Never built by `Scheme::build_policy`.
-    pub fn bugged(mut self) -> Self {
-        self.spec.expand_on_equal = true;
-        self
-    }
-}
-
-impl LlcPlacement for ReNucaC2 {
+impl<P: LlcPlacement + 'static> LlcPlacement for Composed<P> {
     fn name(&self) -> &'static str {
-        "Re-NUCA-C2"
+        self.name
     }
     fn lookup_bank(&mut self, meta: &AccessMeta) -> BankId {
         self.inner.lookup_bank(meta)
@@ -624,11 +623,20 @@ impl LlcPlacement for ReNucaC2 {
     fn on_evict(&mut self, line: u64, bank: BankId) {
         self.inner.on_evict(line, bank);
     }
+    fn lookup_overhead(&self) -> Cycle {
+        self.inner.lookup_overhead()
+    }
+    fn secondary_bank(&mut self, meta: &AccessMeta) -> Option<BankId> {
+        self.inner.secondary_bank(meta)
+    }
+    fn l3_replacement(&self) -> ReplacementKind {
+        self.replacement
+    }
     fn compression(&self) -> Option<compress::CompressSpec> {
-        Some(self.spec)
+        self.compression
     }
     fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+        self.inner.as_any()
     }
 }
 
@@ -655,10 +663,7 @@ pub const WEC_THRESHOLD: u64 = 8;
 /// eviction).
 #[derive(Clone, Debug)]
 pub struct Wec {
-    writes: Vec<u64>,
-    /// Cached lowest-index argmin of `writes` (same incremental-maintenance
-    /// discipline as [`NaiveOracle`]).
-    min_bank: BankId,
+    writes: WriteCounters,
     threshold: u64,
     /// Residency directory for *redirected* lines only: a line absent here
     /// is at its S-NUCA home.
@@ -684,8 +689,7 @@ impl Wec {
     pub fn with_line_capacity(n_banks: usize, max_lines: usize) -> Self {
         let bound = max_lines + n_banks;
         Wec {
-            writes: vec![0; n_banks],
-            min_bank: 0,
+            writes: WriteCounters::new(n_banks),
             threshold: WEC_THRESHOLD,
             directory: FixedTable::with_capacity(bound.min(4096), bound),
             snuca: SNuca::new(n_banks),
@@ -704,25 +708,12 @@ impl Wec {
 
     /// Per-bank write counters (inspection for the differential harness).
     pub fn write_counters(&self) -> &[u64] {
-        &self.writes
+        &self.writes.writes
     }
 
     /// Number of redirected lines currently tracked.
     pub fn directory_len(&self) -> usize {
         self.directory.len()
-    }
-
-    /// Full lowest-index argmin scan over the counters.
-    fn scan_argmin(writes: &[u64]) -> BankId {
-        let mut best = 0;
-        let mut best_w = writes[0];
-        for (b, &w) in writes.iter().enumerate().skip(1) {
-            if w < best_w {
-                best = b;
-                best_w = w;
-            }
-        }
-        best
     }
 }
 
@@ -737,17 +728,13 @@ impl LlcPlacement for Wec {
             .unwrap_or_else(|| self.snuca.bank_of(meta.line))
     }
     fn fill_bank(&mut self, meta: &AccessMeta) -> BankId {
-        debug_assert_eq!(
-            self.min_bank,
-            Self::scan_argmin(&self.writes),
-            "cached argmin out of sync with write counters"
-        );
+        let (coldest, writes) = (self.writes.min_bank(), &self.writes.writes);
         let home = self.snuca.bank_of(meta.line);
-        if self.writes[home] >= self.writes[self.min_bank] + self.threshold {
+        if writes[home] >= writes[coldest] + self.threshold {
             if self.bug_skewed_redirect {
-                (self.min_bank + 1) % self.writes.len()
+                (coldest + 1) % writes.len()
             } else {
-                self.min_bank
+                coldest
             }
         } else {
             home
@@ -761,10 +748,7 @@ impl LlcPlacement for Wec {
         }
     }
     fn on_l3_write(&mut self, bank: BankId) {
-        self.writes[bank] += 1;
-        if bank == self.min_bank {
-            self.min_bank = Self::scan_argmin(&self.writes);
-        }
+        self.writes.record(bank);
     }
     fn on_evict(&mut self, line: u64, bank: BankId) {
         match self.directory.remove(line) {
@@ -884,66 +868,6 @@ impl LlcPlacement for Coloring {
     }
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// MAC (write-aware replacement, Ruan et al. arXiv:1606.03248)
-// ---------------------------------------------------------------------------
-
-/// **MAC**: Ruan et al.'s multilevel PCM-aware replacement
-/// (arXiv:1606.03248) as a *replacement-policy* scheme composable with
-/// S-NUCA placement. Placement is plain address interleaving — identical to
-/// [`SNuca`] — but the L3 banks it drives run
-/// [`ReplacementKind::WriteAware`] victim selection: clean lines are
-/// evicted before dirty ones, so each dirty victim's inevitable ReRAM
-/// writeback is deferred as long as possible and total cell writes drop.
-/// The scheme itself is stateless; all the behaviour lives in the bank
-/// arrays via [`LlcPlacement::l3_replacement`].
-#[derive(Clone, Copy, Debug)]
-pub struct Mac {
-    snuca: SNuca,
-    /// Injected-bug switch for the mutation self-check: report the inverse
-    /// [`ReplacementKind::DirtyFirst`] policy to the hierarchy. Never set by
-    /// [`crate::Scheme::build_policy`].
-    bug_inverted_replacement: bool,
-}
-
-impl Mac {
-    /// MAC over `n_banks` banks.
-    pub fn new(n_banks: usize) -> Self {
-        Mac {
-            snuca: SNuca::new(n_banks),
-            bug_inverted_replacement: false,
-        }
-    }
-
-    /// The deliberately buggy twin (see `bug_inverted_replacement`); built
-    /// only by the differential harness's mutation self-check.
-    pub fn bugged(n_banks: usize) -> Self {
-        Mac {
-            snuca: SNuca::new(n_banks),
-            bug_inverted_replacement: true,
-        }
-    }
-}
-
-impl LlcPlacement for Mac {
-    fn name(&self) -> &'static str {
-        "MAC"
-    }
-    fn lookup_bank(&mut self, meta: &AccessMeta) -> BankId {
-        self.snuca.bank_of(meta.line)
-    }
-    fn fill_bank(&mut self, meta: &AccessMeta) -> BankId {
-        self.snuca.bank_of(meta.line)
-    }
-    fn l3_replacement(&self) -> ReplacementKind {
-        if self.bug_inverted_replacement {
-            ReplacementKind::DirtyFirst
-        } else {
-            ReplacementKind::WriteAware
-        }
     }
 }
 
@@ -1215,19 +1139,20 @@ mod tests {
     }
 
     #[test]
-    fn naive_argmin_matches_full_scan_under_random_writes() {
-        // Seeded differential test of the cached argmin against a from-
-        // scratch lowest-index scan, on a non-pow2 bank count.
-        let mut n = NaiveOracle::new(7, 0);
-        let mut x: u64 = 0xDEAD_BEEF_CAFE_F00D;
-        for _ in 0..10_000 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            n.on_l3_write(((x >> 33) % 7) as usize);
-            let w = n.write_counters();
-            let expect = (0..7).min_by_key(|&b| (w[b], b)).unwrap();
-            assert_eq!(n.fill_bank(&meta(x % 1000, false)), expect);
+    fn write_counter_argmin_matches_full_scan_under_random_writes() {
+        // Seeded differential test of the cached argmin (the Naive oracle's
+        // fill bank, WEC's redirect target) against a from-scratch
+        // lowest-index scan, on non-pow2 bank counts.
+        for (n, mut x) in [(7usize, 0xDEAD_BEEF_CAFE_F00Du64), (5, 0x0DDB_A11_5EED)] {
+            let mut c = WriteCounters::new(n);
+            for _ in 0..10_000 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                c.record(((x >> 33) % n as u64) as usize);
+                let expect = (0..n).min_by_key(|&b| (c.writes[b], b)).unwrap();
+                assert_eq!(c.min_bank(), expect);
+            }
         }
     }
 
@@ -1393,24 +1318,6 @@ mod tests {
         assert_eq!(w.lookup_bank(&hot), b);
     }
 
-    #[test]
-    fn wec_argmin_matches_full_scan_under_random_writes() {
-        // Same seeded differential discipline as the Naive oracle, on a
-        // non-pow2 bank count: the cached argmin must track a from-scratch
-        // lowest-index scan through an arbitrary write storm.
-        let mut w = Wec::with_line_capacity(5, 1024);
-        let mut x: u64 = 0x0DDB_A11_5EED;
-        for _ in 0..10_000 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            w.on_l3_write(((x >> 33) % 5) as usize);
-            let counters = w.write_counters();
-            let expect = (0..5).min_by_key(|&b| (counters[b], b)).unwrap();
-            assert_eq!(w.min_bank, expect);
-        }
-    }
-
     // --- Coloring ---
 
     #[test]
@@ -1462,28 +1369,5 @@ mod tests {
             bad.on_l3_write(0);
         }
         assert_ne!(good.fill_bank(&m), bad.fill_bank(&m));
-    }
-
-    // --- MAC ---
-
-    #[test]
-    fn mac_places_like_snuca_but_swaps_replacement() {
-        let mut m = Mac::new(16);
-        let mut s = SNuca::new(16);
-        for line in [0u64, 17, 12345, 1 << 30] {
-            let acc = meta(line, true);
-            assert_eq!(m.lookup_bank(&acc), s.lookup_bank(&acc));
-            assert_eq!(m.fill_bank(&acc), s.fill_bank(&acc));
-        }
-        assert_eq!(m.l3_replacement(), ReplacementKind::WriteAware);
-        assert_eq!(
-            LlcPlacement::l3_replacement(&s),
-            ReplacementKind::Lru,
-            "placement-only schemes keep the default"
-        );
-        assert_eq!(
-            Mac::bugged(16).l3_replacement(),
-            ReplacementKind::DirtyFirst
-        );
     }
 }

@@ -1,22 +1,22 @@
-//! One-stop factory for the evaluated NUCA schemes.
-//!
-//! The experiment harness builds a `System` per (scheme × workload × config)
-//! cell; this module centralizes the wiring: which placement policy to
-//! instantiate and which criticality predictors the cores need (CPTs for
-//! Re-NUCA, inert predictors otherwise).
+//! Every evaluated NUCA scheme as one row of a table of parts: a base
+//! placement × the L3 banks' victim selection × whether the L3 data array
+//! is compressed. [`Scheme::parts`] is the table; the name, the placement
+//! policy ([`SchemeParts::build`]) and the criticality predictors (CPTs iff
+//! the placement is Re-NUCA) all read it. A non-default replacement (MAC,
+//! Ruan et al., arXiv:1606.03248) or compression (Re-NUCA-C2, Escuin et
+//! al., arXiv:2204.09504) rides on the base placement in [`Composed`].
 
+use cmp_sim::cache::ReplacementKind;
 use cmp_sim::config::SystemConfig;
 use cmp_sim::placement::{CriticalityPredictor, LlcPlacement, NeverCritical};
+use compress::CompressSpec;
 
 use crate::criticality::{Cpt, CptConfig};
-use crate::mapping::{Coloring, Mac, NaiveOracle, PrivateMap, RNuca, ReNuca, ReNucaC2, SNuca, Wec};
+use crate::mapping::{Coloring, Composed, NaiveOracle, PrivateMap, RNuca, ReNuca, SNuca, Wec};
 
-/// The evaluated NUCA schemes: the paper's five (§V), the three
-/// wear-management competitors from the related work (the head-to-head
-/// study of ROADMAP item 3), and the compressed Re-NUCA variant
-/// (ROADMAP item 4).
+/// Where a scheme places lines in the banked L3.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Scheme {
+pub enum BasePlacement {
     /// Address-interleaved static NUCA.
     SNuca,
     /// Reactive NUCA one-hop clusters.
@@ -32,11 +32,99 @@ pub enum Scheme {
     Wec,
     /// Mittal's epoch-rotated coloring remap (arXiv:1310.8494).
     Coloring,
-    /// Ruan et al.'s write-aware replacement over S-NUCA placement
-    /// (arXiv:1606.03248).
+}
+
+/// One row of the scheme table.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SchemeParts {
+    /// Display name matching the paper's figures.
+    pub name: &'static str,
+    /// Which bank a line lives in.
+    pub placement: BasePlacement,
+    /// Victim selection of the L3 banks.
+    pub replacement: ReplacementKind,
+    /// Whether the L3 data array is compressed.
+    pub compressed: bool,
+}
+
+impl SchemeParts {
+    /// The compression spec these parts drive under `cfg`, if compressed.
+    pub fn compression(self, cfg: &SystemConfig) -> Option<CompressSpec> {
+        self.compressed
+            .then(|| CompressSpec::new(cfg.l3_subblocks, cfg.compress_seed))
+    }
+
+    /// Build the placement policy under `cfg`, driving `compression`:
+    /// [`Scheme::build_policy`] passes [`SchemeParts::compression`], the
+    /// differential harness's mutation twin of a compressed scheme passes
+    /// the same spec with `expand_on_equal` set.
+    pub fn build(
+        self,
+        cfg: &SystemConfig,
+        compression: Option<CompressSpec>,
+    ) -> Box<dyn LlcPlacement> {
+        let (cols, rows, n) = (cfg.noc.cols, cfg.noc.rows, cfg.n_banks);
+        let (lines, c) = (n * cfg.l3_bank.lines(), compression);
+        match self.placement {
+            BasePlacement::SNuca => self.carry(c, SNuca::new(n)),
+            BasePlacement::RNuca => self.carry(c, RNuca::new(cols, rows)),
+            BasePlacement::Private => self.carry(c, PrivateMap::new(cfg.n_cores)),
+            BasePlacement::Naive => self.carry(
+                c,
+                NaiveOracle::with_line_capacity(n, cfg.naive_dir_latency, lines),
+            ),
+            BasePlacement::ReNuca => {
+                let tlb = (cfg.tlb_entries, cfg.tlb_assoc);
+                self.carry(c, ReNuca::with_tlb_geometry(cols, rows, tlb.0, tlb.1))
+            }
+            BasePlacement::Wec => self.carry(c, Wec::with_line_capacity(n, lines)),
+            BasePlacement::Coloring => self.carry(c, Coloring::with_line_capacity(n, lines)),
+        }
+    }
+
+    /// Box `inner` as is when it already answers this row's replacement
+    /// and `compression`, else in the [`Composed`] carrier.
+    fn carry<P: LlcPlacement + 'static>(
+        self,
+        compression: Option<CompressSpec>,
+        inner: P,
+    ) -> Box<dyn LlcPlacement> {
+        if inner.l3_replacement() == self.replacement && inner.compression() == compression {
+            Box::new(inner)
+        } else {
+            Box::new(Composed {
+                inner,
+                name: self.name,
+                replacement: self.replacement,
+                compression,
+            })
+        }
+    }
+}
+
+/// The evaluated NUCA schemes: the paper's five (§V), the three
+/// wear-management competitors from the related work (the head-to-head
+/// study), and the compressed Re-NUCA variant. Each is one row of
+/// [`Scheme::parts`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Scheme {
+    /// S-NUCA placement.
+    SNuca,
+    /// R-NUCA placement.
+    RNuca,
+    /// Private placement.
+    Private,
+    /// The Naive oracle's placement.
+    Naive,
+    /// Re-NUCA placement, the paper's contribution.
+    ReNuca,
+    /// WEC placement.
+    Wec,
+    /// Coloring placement.
+    Coloring,
+    /// MAC: S-NUCA placement over write-aware replacement.
     Mac,
-    /// Re-NUCA placement over an L2C2-style compressed ReRAM data array
-    /// (Escuin et al., arXiv:2204.09504): sub-block wear + expansions.
+    /// Re-NUCA placement over a compressed data array.
     ReNucaC2,
 }
 
@@ -74,19 +162,33 @@ impl Scheme {
     pub const BASELINES: [Scheme; 4] =
         [Scheme::SNuca, Scheme::RNuca, Scheme::Private, Scheme::Naive];
 
+    /// The scheme table: each scheme's name and parts. Apart from the
+    /// named scheme lists, no other code tells the schemes apart.
+    pub fn parts(self) -> SchemeParts {
+        use BasePlacement as P;
+        use ReplacementKind::{Lru, WriteAware};
+        let (name, placement, replacement, compressed) = match self {
+            Scheme::SNuca => ("S-NUCA", P::SNuca, Lru, false),
+            Scheme::RNuca => ("R-NUCA", P::RNuca, Lru, false),
+            Scheme::Private => ("Private", P::Private, Lru, false),
+            Scheme::Naive => ("Naive", P::Naive, Lru, false),
+            Scheme::ReNuca => ("Re-NUCA", P::ReNuca, Lru, false),
+            Scheme::Wec => ("WEC", P::Wec, Lru, false),
+            Scheme::Coloring => ("Coloring", P::Coloring, Lru, false),
+            Scheme::Mac => ("MAC", P::SNuca, WriteAware, false),
+            Scheme::ReNucaC2 => ("Re-NUCA-C2", P::ReNuca, Lru, true),
+        };
+        SchemeParts {
+            name,
+            placement,
+            replacement,
+            compressed,
+        }
+    }
+
     /// Display name matching the paper's figures.
     pub fn name(self) -> &'static str {
-        match self {
-            Scheme::SNuca => "S-NUCA",
-            Scheme::RNuca => "R-NUCA",
-            Scheme::Private => "Private",
-            Scheme::Naive => "Naive",
-            Scheme::ReNuca => "Re-NUCA",
-            Scheme::Wec => "WEC",
-            Scheme::Coloring => "Coloring",
-            Scheme::Mac => "MAC",
-            Scheme::ReNucaC2 => "Re-NUCA-C2",
-        }
+        self.parts().name
     }
 
     /// Inverse of [`Scheme::name`], ignoring case and hyphens: "Re-NUCA",
@@ -104,58 +206,28 @@ impl Scheme {
 
     /// Build the placement policy for this scheme under `cfg`.
     pub fn build_policy(self, cfg: &SystemConfig) -> Box<dyn LlcPlacement> {
-        match self {
-            Scheme::SNuca => Box::new(SNuca::new(cfg.n_banks)),
-            Scheme::RNuca => Box::new(RNuca::new(cfg.noc.cols, cfg.noc.rows)),
-            Scheme::Private => Box::new(PrivateMap::new(cfg.n_cores)),
-            Scheme::Naive => Box::new(NaiveOracle::with_line_capacity(
-                cfg.n_banks,
-                cfg.naive_dir_latency,
-                cfg.n_banks * cfg.l3_bank.lines(),
-            )),
-            Scheme::ReNuca => Box::new(ReNuca::with_tlb_geometry(
-                cfg.noc.cols,
-                cfg.noc.rows,
-                cfg.tlb_entries,
-                cfg.tlb_assoc,
-            )),
-            Scheme::Wec => Box::new(Wec::with_line_capacity(
-                cfg.n_banks,
-                cfg.n_banks * cfg.l3_bank.lines(),
-            )),
-            Scheme::Coloring => Box::new(Coloring::with_line_capacity(
-                cfg.n_banks,
-                cfg.n_banks * cfg.l3_bank.lines(),
-            )),
-            Scheme::Mac => Box::new(Mac::new(cfg.n_banks)),
-            Scheme::ReNucaC2 => Box::new(ReNucaC2::new(
-                ReNuca::with_tlb_geometry(
-                    cfg.noc.cols,
-                    cfg.noc.rows,
-                    cfg.tlb_entries,
-                    cfg.tlb_assoc,
-                ),
-                compress::CompressSpec::new(cfg.l3_subblocks, cfg.compress_seed),
-            )),
-        }
+        let parts = self.parts();
+        parts.build(cfg, parts.compression(cfg))
     }
 
     /// Build the per-core criticality predictors for this scheme: CPTs with
-    /// `cpt` configuration for Re-NUCA, inert predictors for every baseline
-    /// (their placement ignores criticality).
+    /// `cpt` configuration when the placement is Re-NUCA, inert predictors
+    /// otherwise (their placement ignores criticality).
     pub fn build_predictors(
         self,
         cfg: &SystemConfig,
         cpt: CptConfig,
     ) -> Vec<Box<dyn CriticalityPredictor>> {
-        match self {
-            Scheme::ReNuca | Scheme::ReNucaC2 => (0..cfg.n_cores)
-                .map(|_| Box::new(Cpt::new(cpt)) as Box<dyn CriticalityPredictor>)
-                .collect(),
-            _ => (0..cfg.n_cores)
-                .map(|_| Box::new(NeverCritical) as Box<dyn CriticalityPredictor>)
-                .collect(),
-        }
+        let learns = self.parts().placement == BasePlacement::ReNuca;
+        (0..cfg.n_cores)
+            .map(|_| -> Box<dyn CriticalityPredictor> {
+                if learns {
+                    Box::new(Cpt::new(cpt))
+                } else {
+                    Box::new(NeverCritical)
+                }
+            })
+            .collect()
     }
 }
 
@@ -190,65 +262,18 @@ mod tests {
     }
 
     #[test]
-    fn build_policy_names_roundtrip() {
-        let cfg = SystemConfig::small(16);
-        for s in Scheme::ALL {
-            let mut p = s.build_policy(&cfg);
-            assert_eq!(p.name(), s.name());
-            // Smoke: every policy answers a lookup.
-            let meta = cmp_sim::placement::AccessMeta {
-                core: 0,
-                line: 1234,
-                page: 1234 >> 6,
-                pc: 1,
-                kind: cmp_sim::placement::LlcAccessKind::Demand,
-                predicted_critical: false,
-            };
-            let b = p.lookup_bank(&meta);
-            assert!(b < cfg.n_banks);
-        }
-    }
-
-    #[test]
-    fn only_the_compressed_scheme_drives_compression() {
-        let cfg = SystemConfig::small(16);
-        for s in Scheme::ALL {
-            let p = s.build_policy(&cfg);
-            match s {
-                Scheme::ReNucaC2 => {
-                    let spec = p.compression().expect("C2 must compress");
-                    assert_eq!(spec.sub_blocks, cfg.l3_subblocks);
-                    assert_eq!(spec.seed, cfg.compress_seed);
-                    assert!(!spec.expand_on_equal, "factory never builds the bug");
-                }
-                _ => assert!(p.compression().is_none(), "{s} must not compress"),
-            }
-        }
-    }
-
-    #[test]
-    fn predictors_match_core_count() {
-        let cfg = SystemConfig::small(4);
-        for s in Scheme::ALL {
-            let preds = s.build_predictors(&cfg, CptConfig::default());
-            assert_eq!(preds.len(), 4);
-        }
-    }
-
-    #[test]
-    fn only_renuca_gets_learning_predictors() {
-        let cfg = SystemConfig::small(4);
-        let mut preds = Scheme::ReNuca.build_predictors(&cfg, CptConfig::default());
+    fn cpts_iff_the_placement_is_renuca() {
         // A CPT learns: after a block+commit cycle the PC becomes critical.
-        preds[0].predict(9);
-        preds[0].on_rob_block(9);
-        preds[0].on_load_commit(9, true);
-        assert!(preds[0].predict(9));
-
-        let mut base = Scheme::SNuca.build_predictors(&cfg, CptConfig::default());
-        base[0].predict(9);
-        base[0].on_rob_block(9);
-        base[0].on_load_commit(9, true);
-        assert!(!base[0].predict(9), "baselines must never predict critical");
+        // Every other placement gets inert predictors that never do.
+        let cfg = SystemConfig::small(4);
+        for s in Scheme::ALL {
+            let mut preds = s.build_predictors(&cfg, CptConfig::default());
+            assert_eq!(preds.len(), 4);
+            preds[0].predict(9);
+            preds[0].on_rob_block(9);
+            preds[0].on_load_commit(9, true);
+            let learns = s.parts().placement == BasePlacement::ReNuca;
+            assert_eq!(preds[0].predict(9), learns, "{s}");
+        }
     }
 }

@@ -16,6 +16,13 @@ cargo test -q
 echo "== workspace tests =="
 cargo test -q --workspace
 
+echo "== perfbench: the benchmark builds against the pinned API and self-tests pass =="
+# perfbench is its own workspace (perfbench/Cargo.toml), so the steps above
+# never compile it; a break in the API it pins would otherwise only show
+# when the benchmark runs.
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== differential smoke: bounded seeded corpus vs the golden model =="
 # Fixed seeds, all nine placement policies, pow2 and non-pow2 meshes
 # (see TESTING.md), plus the per-scheme mutation self-checks. diffcheck

@@ -5,7 +5,7 @@
 
 use sim_rng::SimRng;
 
-use renuca::core_policies::{Cpt, CptConfig, ReNuca, SNuca, Scheme};
+use renuca::core_policies::{BasePlacement, Cpt, CptConfig, ReNuca, SNuca, Scheme};
 use renuca::sim::cache::{LookupResult, SetAssocCache};
 use renuca::sim::config::{CacheGeometry, SystemConfig};
 use renuca::sim::placement::{AccessMeta, CriticalityPredictor, LlcAccessKind, LlcPlacement};
@@ -127,7 +127,10 @@ fn placements_stay_in_range() {
                     "case {case}: {}: fill {fb}",
                     scheme.name()
                 );
-                if matches!(scheme, Scheme::SNuca | Scheme::RNuca | Scheme::Private) {
+                if matches!(
+                    scheme.parts().placement,
+                    BasePlacement::SNuca | BasePlacement::RNuca | BasePlacement::Private
+                ) {
                     assert_eq!(lb, fb, "case {case}: static scheme must agree");
                 }
             }
